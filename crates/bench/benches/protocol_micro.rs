@@ -32,8 +32,8 @@ fn proposed_star_node(leaves: usize) -> (Node, Vec<(NodeId, Message<NodeId>)>) {
     let border: Region = (1..=leaves as u32).map(NodeId).collect();
     let deliveries: Vec<(NodeId, Message<NodeId>)> = (2..=leaves as u32)
         .map(|i| {
-            let mut op = OpinionVector::new();
-            op.insert(NodeId(i), Opinion::Accept(NodeId(i)));
+            let mut op = OpinionVector::new(&border);
+            op.insert(&border, NodeId(i), Opinion::Accept(NodeId(i)));
             (
                 NodeId(i),
                 Message {

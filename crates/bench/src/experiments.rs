@@ -780,7 +780,7 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
             .collect();
 
         // Sharded event-loop run, free-running (same quiescence
-        // contract, re-expressed as per-shard pending counters).
+        // contract, re-expressed as one in-flight counter).
         let sharded_started = Instant::now();
         let mut sharded = ShardedCluster::start(graph.clone(), ProtocolConfig::default(), shards);
         for &k in kills {

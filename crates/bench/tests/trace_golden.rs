@@ -12,8 +12,12 @@
 
 use std::sync::Arc;
 
-use precipice_bench::{pinned_figure_scenarios, trace_hash_of};
-use precipice_graph::Graph;
+use precipice_bench::{experiment_sim, pinned_figure_scenarios, trace_hash_of};
+use precipice_core::ProtocolConfig;
+use precipice_graph::{torus, Graph, GridDims, NodeId};
+use precipice_runtime::{Exec, Scenario};
+use precipice_sim::SimTime;
+use precipice_workload::patterns::{blob_of_size, schedule, CrashTiming};
 
 const GOLDEN: [(&str, u64); 5] = [
     ("fig1a_seed0", 0x503e1af1edce1c88),
@@ -70,4 +74,36 @@ fn figure_scenario_hashes_survive_mapped_topology() {
             "{name}: mapped topology changed the trace ({got:#018x} vs {want:#018x})"
         );
     }
+}
+
+/// The ROADMAP anchor run: a 64-node blob at node 128 of `torus:16`
+/// crashing at 1 ms, faithful protocol, the CLI's simulator settings at
+/// seed 0. Pins the byte count as well as the schedule, so a change to
+/// how messages are sized or encoded cannot move it unnoticed.
+#[test]
+fn anchor_run_is_pinned() {
+    let graph = torus(GridDims::square(16));
+    let region = blob_of_size(&graph, NodeId(128), 64);
+    let mut sim = experiment_sim(0, true);
+    sim.max_events = Some(100_000_000);
+    let scenario = Scenario::builder(graph)
+        .name("anchor")
+        .crashes(schedule(
+            region.iter(),
+            CrashTiming::Simultaneous(SimTime::from_millis(1)),
+        ))
+        .protocol(ProtocolConfig::faithful())
+        .sim_config(sim)
+        .build();
+    let report = scenario.exec(Exec::new()).report;
+    assert!(report.outcome.is_quiescent());
+    let got = (
+        report.trace_hash,
+        report.metrics.messages_sent(),
+        report.metrics.bytes_sent(),
+        report.metrics.events_processed(),
+        report.decisions.len(),
+    );
+    println!("ANCHOR {got:#x?}");
+    assert_eq!(got, (0x0fd5e6b5bd2f00e8, 28_704, 12_917_466, 25_221, 26));
 }

@@ -47,6 +47,10 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts;
+/// deeper input is a [`JsonError`], not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset and what went wrong there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -146,13 +150,13 @@ impl Json {
     /// (trailing whitespace allowed).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after value"));
         }
         Ok(value)
@@ -235,7 +239,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -248,13 +252,13 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -267,7 +271,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -275,10 +279,12 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses a value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -289,7 +295,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -303,7 +309,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -317,7 +323,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -327,7 +333,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -351,8 +357,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -409,11 +415,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: we were handed a &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
+                    // One UTF-8 scalar: `pos` only ever advances by whole
+                    // characters, so it is a boundary of the input.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty rest");
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -491,6 +498,32 @@ mod tests {
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.at, 4);
         assert!(e.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.what.contains("too deep"));
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A megabyte string: quadratic rescanning would take minutes.
+        let line = format!("[\"{}é\"]", "x".repeat(1 << 20));
+        let v = Json::parse(&line).unwrap();
+        let s = v.as_array().and_then(|a| a[0].as_str()).unwrap();
+        assert_eq!(s.len(), (1 << 20) + 2);
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -9,8 +8,8 @@ use crate::WireSize;
 /// A participant's stance on a proposed view.
 ///
 /// The paper's opinion vectors hold `⊥`, `(accept, v)` or `reject`
-/// (Algorithm 1, lines 15–16 and 29–30). `⊥` is represented by *absence*
-/// from the [`OpinionVector`] map.
+/// (Algorithm 1, lines 15–16 and 29–30). `⊥` is an empty
+/// [`OpinionVector`] slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Opinion<D> {
     /// The node proposed the view, with its suggested decision value.
@@ -34,9 +33,81 @@ impl<D> Opinion<D> {
     }
 }
 
-/// A (partial) opinion vector: known opinions per border node; nodes
-/// absent from the map are at `⊥`.
-pub type OpinionVector<D> = BTreeMap<NodeId, Opinion<D>>;
+/// A (partial) opinion vector over a view's border: slot `i` holds the
+/// opinion of the `i`-th border node in sorted order, `None` is `⊥`.
+/// Lookups by node id take the border, which the vector does not store;
+/// running counts make completeness and [`Message::wire_size`] O(1).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpinionVector<D> {
+    slots: Vec<Option<Opinion<D>>>,
+    known: usize,
+    bytes: usize,
+}
+
+impl<D> OpinionVector<D> {
+    /// The all-`⊥` vector over `border`.
+    pub fn new(border: &Region) -> Self {
+        let slots = (0..border.len()).map(|_| None).collect();
+        OpinionVector {
+            slots,
+            known: 0,
+            bytes: 0,
+        }
+    }
+
+    /// `true` if no entry is `⊥`.
+    pub fn is_complete(&self) -> bool {
+        self.known == self.slots.len()
+    }
+
+    /// The slots in border order (`None` = `⊥`).
+    pub fn as_slice(&self) -> &[Option<Opinion<D>>] {
+        &self.slots
+    }
+
+    /// The known entries as `(node, opinion)`, in border order.
+    pub fn iter<'a>(
+        &'a self,
+        border: &'a Region,
+    ) -> impl Iterator<Item = (NodeId, &'a Opinion<D>)> {
+        let known = border.iter().zip(&self.slots);
+        known.filter_map(|(p, op)| Some((p, op.as_ref()?)))
+    }
+}
+
+impl<D: Clone + WireSize> OpinionVector<D> {
+    /// Fills the `⊥` entry of `node`. Returns whether the vector changed:
+    /// `false` when `node` is off `border` or already has an opinion.
+    pub fn insert(&mut self, border: &Region, node: NodeId, opinion: Opinion<D>) -> bool {
+        let i = border.as_slice().binary_search(&node);
+        match i.ok().and_then(|i| self.slots.get_mut(i)) {
+            Some(slot @ None) => {
+                self.known += 1;
+                self.bytes += entry_bytes(&opinion);
+                *slot = Some(opinion);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Fills every `⊥` entry that `other`, a vector over the same border,
+    /// knows (Algorithm 1, line 24).
+    pub(crate) fn fill_from(&mut self, other: &Self) {
+        for (slot, op) in self.slots.iter_mut().zip(&other.slots) {
+            if let (None, Some(op)) = (&*slot, op) {
+                self.known += 1;
+                self.bytes += entry_bytes(op);
+                *slot = Some(op.clone());
+            }
+        }
+    }
+}
+
+/// Encoded size of one `(node, tag, value?)` entry.
+fn entry_bytes<D: WireSize>(opinion: &Opinion<D>) -> usize {
+    4 + 1 + opinion.accepted_value().map_or(0, WireSize::wire_size)
+}
 
 /// The single message type of Algorithm 1: `[r, V, border(V), op]`.
 ///
@@ -53,7 +124,7 @@ pub struct Message<D> {
     /// as in the paper (receivers use it to initialize instance state
     /// without a topology lookup).
     pub border: Region,
-    /// The sender's known opinions (absent = `⊥`).
+    /// The sender's known opinions, indexed by position in `border`.
     ///
     /// `Arc`-shared so that multicasting to `|B|` recipients costs one
     /// vector snapshot, not `|B|` deep clones; wire-size accounting still
@@ -61,50 +132,23 @@ pub struct Message<D> {
     pub opinions: Arc<OpinionVector<D>>,
 }
 
-impl<D: WireSize> Message<D> {
+impl<D> Message<D> {
     /// Approximate encoded size: round tag + region + border + one
     /// `(node, tag, value?)` entry per known opinion.
     pub fn wire_size(&self) -> usize {
-        let opinions: usize = self
-            .opinions
-            .values()
-            .map(|op| {
-                4 + 1
-                    + match op {
-                        Opinion::Accept(v) => v.wire_size(),
-                        Opinion::Reject => 0,
-                    }
-            })
-            .sum();
-        4 + self.view.wire_size() + self.border.wire_size() + 4 + opinions
+        4 + self.view.wire_size() + self.border.wire_size() + 4 + self.opinions.bytes
     }
 }
 
-impl<D> Message<D> {
-    /// Nodes whose opinion in this message is `Reject` — receivers strike
-    /// them from every wait set (they will never participate in this
-    /// instance again).
-    pub fn rejectors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.opinions
-            .iter()
-            .filter(|(_, op)| matches!(op, Opinion::Reject))
-            .map(|(&n, _)| n)
-    }
-}
-
-/// Builds the initial accept vector of a proposer (Algorithm 1 lines
-/// 15–16): everything `⊥` except the proposer's own `(accept, value)`.
-pub fn initial_accept_vector<D>(proposer: NodeId, value: D) -> Arc<OpinionVector<D>> {
-    let mut op = OpinionVector::new();
-    op.insert(proposer, Opinion::Accept(value));
-    Arc::new(op)
-}
-
-/// Builds a rejection vector (Algorithm 1 lines 29–30): everything `⊥`
-/// except the rejecter's `reject`.
-pub fn rejection_vector<D>(rejecter: NodeId) -> Arc<OpinionVector<D>> {
-    let mut op = OpinionVector::new();
-    op.insert(rejecter, Opinion::Reject);
+/// The vector a proposer (Algorithm 1 lines 15–16, `(accept, value)`) or
+/// a rejecter (lines 29–30, `reject`) sends: `⊥` except its own entry.
+pub(crate) fn own_vector<D: Clone + WireSize>(
+    border: &Region,
+    me: NodeId,
+    opinion: Opinion<D>,
+) -> Arc<OpinionVector<D>> {
+    let mut op = OpinionVector::new(border);
+    op.insert(border, me, opinion);
     Arc::new(op)
 }
 
@@ -128,44 +172,60 @@ mod tests {
 
     #[test]
     fn vectors_start_singleton() {
-        let acc = initial_accept_vector(NodeId(3), 42u32);
-        assert_eq!(acc.len(), 1);
-        assert_eq!(acc[&NodeId(3)], Opinion::Accept(42));
-        let rej = rejection_vector::<u32>(NodeId(5));
-        assert_eq!(rej.len(), 1);
-        assert_eq!(rej[&NodeId(5)], Opinion::Reject);
+        let border = region(&[3, 5]);
+        let acc = own_vector(&border, NodeId(3), Opinion::Accept(42u32));
+        let entries: Vec<_> = acc.iter(&border).collect();
+        assert_eq!(entries, vec![(NodeId(3), &Opinion::Accept(42))]);
+        let rej = own_vector::<u32>(&border, NodeId(5), Opinion::Reject);
+        let entries: Vec<_> = rej.iter(&border).collect();
+        assert_eq!(entries, vec![(NodeId(5), &Opinion::Reject)]);
     }
 
     #[test]
-    fn rejectors_lists_only_rejects() {
-        let mut op: OpinionVector<u32> = OpinionVector::new();
-        op.insert(NodeId(1), Opinion::Accept(1));
-        op.insert(NodeId(2), Opinion::Reject);
-        op.insert(NodeId(4), Opinion::Reject);
-        let msg = Message {
-            round: 2,
-            view: region(&[9]),
-            border: region(&[1, 2, 4]),
-            opinions: Arc::new(op),
-        };
-        let rejectors: Vec<NodeId> = msg.rejectors().collect();
-        assert_eq!(rejectors, vec![NodeId(2), NodeId(4)]);
+    fn vector_fills_bottoms_and_rejects_nodes_off_the_border() {
+        let border = region(&[1, 2, 4]);
+        let mut op: OpinionVector<u32> = OpinionVector::new(&border);
+        assert!(!op.insert(&border, NodeId(3), Opinion::Accept(3)));
+        assert!(!op.insert(&border, NodeId(99), Opinion::Reject));
+        assert_eq!(op, OpinionVector::new(&border));
+        assert!(op.insert(&border, NodeId(2), Opinion::Accept(2)));
+        // Only `⊥` entries are filled.
+        assert!(!op.insert(&border, NodeId(2), Opinion::Reject));
+        assert!(op.insert(&border, NodeId(1), Opinion::Reject));
+        assert!(!op.is_complete());
+        assert!(op.insert(&border, NodeId(4), Opinion::Accept(4)));
+        assert!(op.is_complete());
+        let entries: Vec<(NodeId, &Opinion<u32>)> = op.iter(&border).collect();
+        assert_eq!(
+            entries,
+            vec![
+                (NodeId(1), &Opinion::Reject),
+                (NodeId(2), &Opinion::Accept(2)),
+                (NodeId(4), &Opinion::Accept(4)),
+            ]
+        );
     }
 
     #[test]
     fn wire_size_counts_components() {
+        let border = region(&[1, 2]);
         let msg: Message<u32> = Message {
             round: 1,
-            view: region(&[9]),                            // 4 + 4
-            border: region(&[1, 2]),                       // 4 + 8
-            opinions: initial_accept_vector(NodeId(1), 7), // 4 + (4 + 1 + 4)
+            view: region(&[9]),                                           // 4 + 4
+            border: border.clone(),                                       // 4 + 8
+            opinions: own_vector(&border, NodeId(1), Opinion::Accept(7)), // 4 + (4 + 1 + 4)
         };
         assert_eq!(msg.wire_size(), 4 + 8 + 12 + 4 + 9);
+        let mut both = (*msg.opinions).clone();
+        both.insert(&border, NodeId(2), Opinion::Reject); // + (4 + 1)
+        let msg = Message {
+            opinions: Arc::new(both),
+            ..msg
+        };
+        assert_eq!(msg.wire_size(), 4 + 8 + 12 + 4 + 9 + 5);
         let empty: Message<u32> = Message {
-            round: 1,
-            view: region(&[9]),
-            border: region(&[1, 2]),
-            opinions: Arc::new(OpinionVector::new()),
+            opinions: Arc::new(OpinionVector::new(&border)),
+            ..msg
         };
         assert_eq!(empty.wire_size(), 4 + 8 + 12 + 4);
     }

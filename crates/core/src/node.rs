@@ -5,7 +5,7 @@ use std::fmt;
 use precipice_graph::{NodeId, NodeSet, Region, Topology};
 
 use crate::instance::Instance;
-use crate::message::{initial_accept_vector, rejection_vector, Message};
+use crate::message::{own_vector, Message, Opinion};
 use crate::{DecisionPolicy, ProtocolConfig, ProtocolStats, View};
 
 /// An input to the protocol state machine.
@@ -155,40 +155,15 @@ where
         self.decided.as_ref().map(|(v, d)| (v, d))
     }
 
-    /// `true` once the node has decided.
-    pub fn has_decided(&self) -> bool {
-        self.decided.is_some()
-    }
-
     /// `true` while a consensus instance is active (proposed and neither
     /// completed nor failed).
     pub fn is_active(&self) -> bool {
         self.proposed.is_some() && self.decided.is_none()
     }
 
-    /// The last view this node proposed, if any.
-    pub fn current_proposal(&self) -> Option<&View> {
-        self.current_view.as_ref()
-    }
-
-    /// Crashes reported to this node so far.
-    pub fn locally_crashed(&self) -> &BTreeSet<NodeId> {
-        &self.locally_crashed
-    }
-
-    /// Views this node has rejected.
-    pub fn rejected_views(&self) -> impl Iterator<Item = &Region> + '_ {
-        self.rejected.iter()
-    }
-
     /// Protocol counters.
     pub fn stats(&self) -> &ProtocolStats {
         &self.stats
-    }
-
-    /// The protocol configuration in force.
-    pub fn config(&self) -> ProtocolConfig {
-        self.config
     }
 
     /// Feeds one event and returns the actions to execute, in order.
@@ -324,9 +299,7 @@ where
             // Fast-abort optimization: a known rejecter dooms the active
             // instance; skip the remaining rounds.
             if self.config.fast_abort_on_reject && self.is_active() {
-                let doomed = self
-                    .active_instance()
-                    .is_some_and(|inst| !inst.rejectors().is_empty());
+                let doomed = self.active_instance().is_some_and(Instance::has_rejectors);
                 if doomed {
                     self.proposed = None;
                     self.stats.aborted_instances += 1;
@@ -379,9 +352,9 @@ where
         self.rejected.insert(region.clone());
         let message = Message {
             round: 1,
+            opinions: own_vector(&border, self.me, Opinion::Reject),
             view: region,
             border,
-            opinions: rejection_vector(self.me),
         };
         actions.push(Action::Multicast {
             recipients,
@@ -429,7 +402,7 @@ where
             round: 1,
             view: view.region().clone(),
             border: view.border().clone(),
-            opinions: initial_accept_vector(self.me, value),
+            opinions: own_vector(view.border(), self.me, Opinion::Accept(value)),
         };
         actions.push(Action::Multicast {
             recipients: view.border().iter().collect(),
@@ -443,52 +416,38 @@ where
             .current_view
             .clone()
             .expect("active instance has a view");
-        let total = vp.total_rounds();
         let r = self.round;
         let instance = self
             .received
             .get(vp.region())
             .expect("guard checked membership");
-
-        if r >= total {
+        if r >= vp.total_rounds() {
             self.finalize(&vp, r, actions);
             return;
         }
-
-        if self.config.early_termination && r >= 2 && instance.vector_complete(r) {
-            // Footnote-6 early termination: everyone we still wait for is
-            // represented in a ⊥-free vector. Flood one closing round so
-            // laggards inherit the complete vector, then finalize.
-            let message = Message {
-                round: r + 1,
-                view: vp.region().clone(),
-                border: vp.border().clone(),
-                opinions: instance.vector_arc(r),
-            };
-            self.stats.round_messages += 1;
-            actions.push(Action::Multicast {
-                recipients: vp.border().iter().collect(),
-                message,
-            });
-            self.finalize(&vp, r, actions);
-            return;
-        }
-
-        // Line 39–40: next round, forwarding the vector of the round that
-        // just completed.
-        self.round = r + 1;
-        self.stats.max_round = self.stats.max_round.max(self.round);
-        self.stats.round_messages += 1;
+        // Footnote-6 early termination: everyone we still wait for is
+        // represented in a ⊥-free vector; the forward below is then one
+        // closing round so laggards inherit the complete vector.
+        let closing = self.config.early_termination && r >= 2 && instance.vector_complete(r);
+        // Lines 39–40: forward the vector of the round that just
+        // completed.
         let message = Message {
             round: r + 1,
             view: vp.region().clone(),
             border: vp.border().clone(),
             opinions: instance.vector_arc(r),
         };
+        self.stats.round_messages += 1;
         actions.push(Action::Multicast {
             recipients: vp.border().iter().collect(),
             message,
         });
+        if closing {
+            self.finalize(&vp, r, actions);
+        } else {
+            self.round = r + 1;
+            self.stats.max_round = self.stats.max_round.max(self.round);
+        }
     }
 
     /// Lines 33–37: evaluate the completed instance.
@@ -518,7 +477,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Opinion;
     use crate::NodeIdValuePolicy;
     use precipice_graph::Graph;
     use std::collections::VecDeque;
@@ -688,7 +646,7 @@ mod tests {
         let mut n = Node::new(NodeId(1), g, NodeIdValuePolicy, ProtocolConfig::default());
         let actions = n.handle(Event::Init);
         assert_eq!(actions, vec![Action::Monitor(vec![NodeId(0), NodeId(2)])]);
-        assert!(!n.has_decided());
+        assert!(n.decision().is_none());
         assert!(!n.is_active());
     }
 
@@ -839,7 +797,7 @@ mod tests {
             round: 1,
             view: region(&[1]),
             border: region(&[0, 2]),
-            opinions: initial_accept_vector(NodeId(2), NodeId(2)),
+            opinions: own_vector(&region(&[0, 2]), NodeId(2), Opinion::Accept(NodeId(2))),
         };
         let before = net.nodes[&NodeId(0)].stats().ignored_messages;
         net.dispatch(
@@ -916,7 +874,7 @@ mod tests {
             round: 1,
             view: region(&[0]),
             border: region(&[1, 2, 3]),
-            opinions: rejection_vector(NodeId(2)),
+            opinions: own_vector(&region(&[1, 2, 3]), NodeId(2), Opinion::Reject),
         };
 
         // With fast abort: the instance dies on the spot.
@@ -1007,7 +965,11 @@ mod tests {
                     if message.round != 1 {
                         continue;
                     }
-                    match message.opinions.get(&me) {
+                    let mine = message
+                        .opinions
+                        .iter(&message.border)
+                        .find(|(p, _)| *p == me);
+                    match mine.map(|(_, op)| op) {
                         Some(Opinion::Accept(_)) => steps.push(Step::Proposed(View::from_parts(
                             message.view.clone(),
                             message.border.clone(),
@@ -1026,7 +988,7 @@ mod tests {
             round: 1,
             view: region(&[1]),
             border: region(&[0, 2]),
-            opinions: initial_accept_vector(NodeId(0), NodeId(0)),
+            opinions: own_vector(&region(&[0, 2]), NodeId(0), Opinion::Accept(NodeId(0))),
         };
         capture(
             n.handle(Event::Deliver {
@@ -1085,7 +1047,8 @@ mod tests {
         let mut vectors = Vec::new();
         for (id, node) in &net.nodes {
             let inst = node.received.get(&view).expect("participated");
-            vectors.push((id, inst.vector(final_round).clone()));
+            let vector = inst.vector(final_round).expect("final round heard");
+            vectors.push((id, vector.clone()));
         }
         assert_eq!(vectors.len(), 4);
         let (first_id, first) = &vectors[0];
@@ -1094,8 +1057,10 @@ mod tests {
             assert_eq!(v, first, "{id} diverged from {first_id}");
         }
         // ... and the common vector is all-accept over the full border.
-        assert_eq!(first.len(), 4);
-        assert!(first.values().all(Opinion::is_accept));
+        assert!(first.is_complete());
+        assert!(first
+            .iter(&region(&[1, 2, 3, 4]))
+            .all(|(_, op)| op.is_accept()));
     }
 
     /// Lemma 1 (cross-node form): for any view, each participant has at
@@ -1120,11 +1085,12 @@ mod tests {
         for node in net.nodes.values() {
             for (view_region, inst) in &node.received {
                 let rounds = inst.view().total_rounds();
-                for r in 1..=rounds {
-                    for (pk, op) in inst.vector(r) {
+                let border = inst.view().border();
+                for vector in (1..=rounds).filter_map(|r| inst.vector(r)) {
+                    for (pk, op) in vector.iter(border) {
                         if let Opinion::Accept(v) = op {
                             values
-                                .entry((view_region.clone(), *pk))
+                                .entry((view_region.clone(), pk))
                                 .or_default()
                                 .insert(*v);
                         }
@@ -1154,7 +1120,7 @@ mod tests {
             round: 1,
             view: region(&[1]),
             border: region(&[0, 2]),
-            opinions: initial_accept_vector(NodeId(0), NodeId(0)),
+            opinions: own_vector(&region(&[0, 2]), NodeId(0), Opinion::Accept(NodeId(0))),
         };
         let actions = n.handle(Event::Deliver {
             from: NodeId(0),

@@ -26,8 +26,9 @@
 //! | `shutdown` | | close everything and end the session |
 //!
 //! `topology` accepts `torus:N`, `grid:WxH`, `ring:N`, `path:N`,
-//! `star:N` and `pcsr:PATH` (a mapped graph store file). `id` defaults
-//! to `"default"` everywhere.
+//! `star:N` (built in memory, at most [`MAX_BUILT_NODES`] nodes) and
+//! `pcsr:PATH` (a mapped graph store file, for anything larger). `id`
+//! defaults to `"default"` everywhere.
 //!
 //! A worked session (`$` = request, `>` = response):
 //!
@@ -57,6 +58,9 @@ use crate::shard::ShardedCluster;
 
 /// Default worker shard count for instances that don't specify one.
 const DEFAULT_SHARDS: usize = 2;
+/// The most nodes an `open` builds in memory; larger graphs are mapped
+/// from a `pcsr:` file instead.
+const MAX_BUILT_NODES: usize = 1 << 20;
 
 /// A long-lived serve session: named live instances plus the command
 /// dispatcher. See the [module docs](self) for the wire protocol.
@@ -307,6 +311,10 @@ fn region_json(region: &Region) -> Json {
 
 /// Parses a serve topology spec: `torus:N`, `grid:WxH`, `ring:N`,
 /// `path:N`, `star:N`, or `pcsr:PATH` (opened as a mapped graph).
+///
+/// Built topologies must have at most [`MAX_BUILT_NODES`] nodes and at
+/// least as many as their builder needs; anything else is an error
+/// reply, not an allocation failure or a builder panic.
 fn parse_topology(spec: &str) -> Result<Graph, String> {
     if let Some(file) = spec.strip_prefix("pcsr:") {
         return Graph::open_pcsr(file).map_err(|e| format!("open {file}: {e}"));
@@ -318,18 +326,38 @@ fn parse_topology(spec: &str) -> Result<Graph, String> {
         arg.parse::<usize>()
             .map_err(|_| format!("bad topology size {arg:?}"))
     };
+    let area = |d: GridDims| d.width.checked_mul(d.height);
+    // The node count, if the builder accepts it and it fits the bound.
+    let sized = |nodes: Option<usize>, least: usize| -> Result<usize, String> {
+        nodes
+            .filter(|n| (least..=MAX_BUILT_NODES).contains(n))
+            .ok_or_else(|| {
+                format!(
+                    "topology {spec:?} must have {least} to {MAX_BUILT_NODES} nodes \
+                     (larger graphs open as pcsr:PATH)"
+                )
+            })
+    };
     match kind {
-        "torus" => Ok(torus(GridDims::square(n(arg)?))),
-        "grid" => match arg.split_once('x') {
-            Some((w, h)) => Ok(grid(GridDims {
-                width: n(w)?,
-                height: n(h)?,
-            })),
-            None => Ok(grid(GridDims::square(n(arg)?))),
-        },
-        "ring" => Ok(ring(n(arg)?)),
-        "path" => Ok(path(n(arg)?)),
-        "star" => Ok(star(n(arg)?)),
+        "torus" => {
+            let dims = GridDims::square(n(arg)?);
+            sized(area(dims), 9)?;
+            Ok(torus(dims))
+        }
+        "grid" => {
+            let dims = match arg.split_once('x') {
+                Some((w, h)) => GridDims {
+                    width: n(w)?,
+                    height: n(h)?,
+                },
+                None => GridDims::square(n(arg)?),
+            };
+            sized(area(dims), 1)?;
+            Ok(grid(dims))
+        }
+        "ring" => Ok(ring(sized(Some(n(arg)?), 3)?)),
+        "path" => Ok(path(sized(Some(n(arg)?), 1)?)),
+        "star" => Ok(star(sized(Some(n(arg)?), 2)?)),
         other => Err(format!("unknown topology kind {other:?}")),
     }
 }
@@ -423,6 +451,18 @@ mod tests {
             fail(&s.handle_line(r#"{"cmd":"open","id":"x","topology":"torus"}"#))
                 .contains("malformed")
         );
+        // Hostile lines: nesting that would overflow the parser's stack,
+        // and graphs too large (or too small) to build.
+        assert!(fail(&s.handle_line(&"[".repeat(200_000))).contains("too deep"));
+        for spec in [
+            "torus:100000",
+            "grid:18446744073709551615x2",
+            "ring:2000000",
+            "torus:2",
+        ] {
+            let line = format!(r#"{{"cmd":"open","id":"x","topology":"{spec}"}}"#);
+            assert!(fail(&s.handle_line(&line)).contains("nodes"), "{spec}");
+        }
         // The session is still usable.
         ok(&s.handle_line(r#"{"cmd":"status"}"#));
         ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));

@@ -18,11 +18,13 @@
 //! - **Bounded MPSC rings.** Cross-shard traffic flows over one
 //!   [`Ring`] per shard (see [`ring`](crate::ring)) instead of one
 //!   channel per node.
-//! - **Per-shard pending counters.** The kill-switch quiescence oracle
-//!   is re-expressed as one atomic counter per shard: a post charges
-//!   the *target's* shard before the event is enqueued, the owning
-//!   shard acknowledges after the handler (and everything it posted)
-//!   is done. All counters at zero for a quiet window ⇒ quiescent.
+//! - **One in-flight counter.** The kill-switch quiescence oracle is
+//!   re-expressed as one atomic counter for the whole cluster: a post
+//!   charges it before the event is enqueued, the owning shard
+//!   acknowledges after the handler (and everything it posted) is
+//!   done. Counter at zero for a quiet window ⇒ quiescent. (Per-shard
+//!   counters would tear: a sweep could read shard A before a handler
+//!   on B charges it, and B after the handler acknowledges, and see 0.)
 //!
 //! Failure detection keeps the graph-backed semantics of the sim's
 //! `FailureDetector::with_static_graph`: every node is implicitly
@@ -138,7 +140,8 @@ pub(crate) struct Router<V> {
     /// Nodes per shard range (last shard takes the remainder).
     range: usize,
     rings: Vec<Arc<Ring<ShardEvent<V>>>>,
-    pending: Vec<AtomicU64>,
+    /// Events posted and not yet fully handled, over all shards.
+    in_flight: AtomicU64,
     fd: Mutex<FdState>,
     /// When set, posts are parked here instead of entering the rings —
     /// the delivery gate for schedule exploration.
@@ -159,7 +162,7 @@ impl<V: precipice_core::WireSize> Router<V> {
             rings: (0..shards)
                 .map(|_| Arc::new(Ring::new(RING_CAPACITY)))
                 .collect(),
-            pending: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            in_flight: AtomicU64::new(0),
             fd: Mutex::new(FdState::default()),
             gate,
             step: AtomicU64::new(0),
@@ -193,12 +196,11 @@ impl<V: precipice_core::WireSize> Router<V> {
     }
 
     /// Sends `event` into its owner's ring for real, charging the
-    /// shard's pending counter first (quiescence must never observe the
-    /// window between enqueue and charge).
+    /// in-flight counter first (quiescence must never observe the window
+    /// between enqueue and charge).
     pub(crate) fn release(&self, event: ShardEvent<V>) {
-        let shard = self.shard_of(event.to());
-        self.pending[shard].fetch_add(1, Ordering::SeqCst);
-        self.rings[shard].push(event);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.rings[self.shard_of(event.to())].push(event);
     }
 
     /// A protocol message from `from` to `to`; dropped if `to` is dead.
@@ -270,22 +272,15 @@ impl<V: precipice_core::WireSize> Router<V> {
         true
     }
 
-    /// Acknowledges one fully-handled (or dropped) event on `shard`.
-    fn done(&self, shard: usize) {
-        let before = self.pending[shard].fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(before > 0, "pending counter underflow on shard {shard}");
+    /// Acknowledges one fully-handled (or dropped) event.
+    fn done(&self) {
+        let before = self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(before > 0, "in-flight counter underflow");
     }
 
     /// Outstanding events across all shards.
-    pub(crate) fn pending_sum(&self) -> u64 {
-        self.pending.iter().map(|p| p.load(Ordering::SeqCst)).sum()
-    }
-
-    fn shard_pending(&self) -> Vec<u64> {
-        self.pending
-            .iter()
-            .map(|p| p.load(Ordering::SeqCst))
-            .collect()
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.in_flight.load(Ordering::SeqCst)
     }
 
     /// The logical release clock (0 outside gated runs).
@@ -432,12 +427,7 @@ where
 
     /// Outstanding (posted but not yet fully handled) events.
     pub fn pending(&self) -> u64 {
-        self.router.pending_sum()
-    }
-
-    /// Outstanding events per shard.
-    pub fn shard_pending(&self) -> Vec<u64> {
-        self.router.shard_pending()
+        self.router.in_flight()
     }
 
     /// Nodes activated on demand so far — the live analogue of the
@@ -503,15 +493,15 @@ where
     /// `timeout` elapses. Returns `true` on quiescence.
     ///
     /// Same contract as the thread-per-node oracle: a post charges the
-    /// target shard *before* enqueueing and the shard acknowledges only
-    /// after the handler (and everything it posted) is done, so all
-    /// counters at zero means no handler is mid-flight; a full quiet
-    /// window with no kills in between is genuinely final.
+    /// in-flight counter *before* enqueueing and the shard acknowledges
+    /// only after the handler (and everything it posted) is done, so a
+    /// zero counter means no handler is mid-flight; a full quiet window
+    /// with no kills in between is genuinely final.
     pub fn await_quiescence(&self, quiet: Duration, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut quiet_since: Option<Instant> = None;
         loop {
-            if self.router.pending_sum() == 0 {
+            if self.router.in_flight() == 0 {
                 let since = *quiet_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= quiet {
                     return true;
@@ -576,7 +566,7 @@ where
         match ring.pop(IDLE_TICK) {
             Pop::Item(event) => {
                 handle_event(event, &router, &factory, config, &decisions, &mut nodes);
-                router.done(shard);
+                router.done();
             }
             Pop::TimedOut => continue,
             Pop::Closed => break,

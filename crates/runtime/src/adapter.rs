@@ -196,16 +196,19 @@ impl<P: DecisionPolicy> Process for ProtocolProcess<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use precipice_core::{NodeIdValuePolicy, ProtocolConfig};
+    use precipice_core::{NodeIdValuePolicy, Opinion, OpinionVector, ProtocolConfig};
     use precipice_graph::Region;
 
     #[test]
     fn proto_msg_size_matches_wire_size() {
+        let border = Region::from_iter([NodeId(0), NodeId(2)]);
+        let mut opinions = OpinionVector::new(&border);
+        opinions.insert(&border, NodeId(0), Opinion::Accept(NodeId(0)));
         let message: Message<NodeId> = Message {
             round: 1,
             view: Region::from_iter([NodeId(1)]),
-            border: Region::from_iter([NodeId(0), NodeId(2)]),
-            opinions: Default::default(),
+            border,
+            opinions: Arc::new(opinions),
         };
         assert_eq!(
             ProtoMsg::Protocol(message.clone()).size_bytes(),
