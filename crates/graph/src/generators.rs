@@ -291,6 +291,13 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
 /// Panics if `n == 0`, if `p` is not in `[0, 1]`, or if no connected sample
 /// is found after 64 attempts (`p` too small for `n`).
 pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
+    try_erdos_renyi_connected(n, p, seed)
+        .unwrap_or_else(|| panic!("no connected G({n}, {p}) sample after 64 attempts; increase p"))
+}
+
+/// [`erdos_renyi_connected`], with `None` when no connected sample is
+/// found (it still panics on a bad `n` or `p`).
+pub(crate) fn try_erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Option<Graph> {
     assert!(n > 0, "graph needs at least 1 node");
     assert!(
         (0.0..=1.0).contains(&p),
@@ -309,10 +316,10 @@ pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
         }
         let g = b.build();
         if g.is_connected() {
-            return g;
+            return Some(g);
         }
     }
-    panic!("no connected G({n}, {p}) sample after 64 attempts; increase p");
+    None
 }
 
 /// A connected random geometric graph: `n` points uniform in the unit
@@ -326,6 +333,14 @@ pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
 ///
 /// Panics if `n == 0`, `radius <= 0`, or no connected sample is found.
 pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Graph {
+    try_random_geometric_connected(n, radius, seed).unwrap_or_else(|| {
+        panic!("no connected geometric graph (n={n}, radius={radius}) after 64 attempts")
+    })
+}
+
+/// [`random_geometric_connected`], with `None` when no connected sample
+/// is found (it still panics on a bad `n` or `radius`).
+pub(crate) fn try_random_geometric_connected(n: usize, radius: f64, seed: u64) -> Option<Graph> {
     assert!(n > 0, "graph needs at least 1 node");
     assert!(radius > 0.0, "radius must be positive, got {radius}");
     let r2 = radius * radius;
@@ -346,10 +361,10 @@ pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Graph {
         }
         let g = b.build();
         if g.is_connected() {
-            return g;
+            return Some(g);
         }
     }
-    panic!("no connected geometric graph (n={n}, radius={radius}) after 64 attempts");
+    None
 }
 
 /// A Barabási–Albert preferential-attachment graph: starts from a clique

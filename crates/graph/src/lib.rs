@@ -54,6 +54,7 @@ mod node;
 mod nodeset;
 mod rank;
 mod region;
+mod spec;
 mod store;
 mod topology;
 
@@ -72,5 +73,6 @@ pub use node::NodeId;
 pub use nodeset::NodeSet;
 pub use rank::{max_ranked_region, rank_cmp, rank_cmp_keyed, RankKey};
 pub use region::Region;
+pub use spec::{parse_topology, TopologySpec, MAX_BUILT_NODES, MAX_PAIRWISE_NODES};
 pub use store::{GraphStore, MappedGraph, StoreError, StoreSummary};
 pub use topology::Topology;

@@ -25,10 +25,11 @@
 //! | `close` | `id?` | shut the instance down, report verdict |
 //! | `shutdown` | | close everything and end the session |
 //!
-//! `topology` accepts `torus:N`, `grid:WxH`, `ring:N`, `path:N`,
-//! `star:N` (built in memory, at most [`MAX_BUILT_NODES`] nodes) and
-//! `pcsr:PATH` (a mapped graph store file, for anything larger). `id`
-//! defaults to `"default"` everywhere.
+//! `topology` takes any [`TopologySpec`](precipice_graph::TopologySpec),
+//! the same specs as the CLI's `--topology` (random kinds with seed 0):
+//! built in memory up to [`MAX_BUILT_NODES`](precipice_graph::MAX_BUILT_NODES)
+//! nodes, or `pcsr:PATH` (a mapped graph store file) for anything
+//! larger. `id` defaults to `"default"` everywhere.
 //!
 //! A worked session (`$` = request, `>` = response):
 //!
@@ -46,21 +47,23 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use precipice_core::json::Json;
 use precipice_core::ProtocolConfig;
-use precipice_graph::{grid, path, ring, star, torus, Graph, GridDims, NodeId, Region};
+use precipice_graph::{parse_topology, NodeId, Region};
 
 use crate::gate::live_consistent;
 use crate::shard::ShardedCluster;
 
 /// Default worker shard count for instances that don't specify one.
 const DEFAULT_SHARDS: usize = 2;
-/// The most nodes an `open` builds in memory; larger graphs are mapped
-/// from a `pcsr:` file instead.
-const MAX_BUILT_NODES: usize = 1 << 20;
+
+/// The longest request line [`ServeSession::serve`] reads (1 MiB); a
+/// longer line is answered with an error reply and skipped.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A long-lived serve session: named live instances plus the command
 /// dispatcher. See the [module docs](self) for the wire protocol.
@@ -100,6 +103,32 @@ impl ServeSession {
         self.handle(line).unwrap_or_else(err).to_line()
     }
 
+    /// Serves request lines from `input` until `shutdown` or end of
+    /// input, writing one response line per request to `output`. Blank
+    /// lines and `#` comments are skipped. A line that is not UTF-8 or
+    /// is longer than [`MAX_LINE_BYTES`] gets an error reply, and the
+    /// session keeps serving; only an I/O error ends it early.
+    pub fn serve(&mut self, mut input: impl BufRead, mut output: impl Write) -> io::Result<()> {
+        let mut line = Vec::new();
+        while let Some(fits) = read_capped_line(&mut input, &mut line)? {
+            let response = if !fits {
+                err(format!("line longer than {MAX_LINE_BYTES} bytes")).to_line()
+            } else {
+                match std::str::from_utf8(&line).map(str::trim) {
+                    Err(e) => err(format!("line is not UTF-8: {e}")).to_line(),
+                    Ok(text) if text.is_empty() || text.starts_with('#') => continue,
+                    Ok(text) => self.handle_line(text),
+                }
+            };
+            writeln!(output, "{response}")?;
+            output.flush()?;
+            if self.finished {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     fn handle(&mut self, line: &str) -> Result<Json, String> {
         let request = Json::parse(line.trim()).map_err(|e| e.to_string())?;
         let cmd = request
@@ -128,7 +157,7 @@ impl ServeSession {
             .get("topology")
             .and_then(Json::as_str)
             .ok_or("open needs a \"topology\"")?;
-        let graph = parse_topology(spec)?;
+        let graph = parse_topology(spec, 0)?;
         let shards = match request.get("shards") {
             Some(v) => v.as_u64().ok_or("\"shards\" must be a positive integer")? as usize,
             None => self.default_shards,
@@ -274,6 +303,34 @@ fn close_report(id: String, cluster: ShardedCluster) -> Json {
     ])
 }
 
+/// Reads one `\n`-terminated line into `line`, keeping at most
+/// [`MAX_LINE_BYTES`] bytes: the rest of a longer line is read and
+/// dropped. Returns `None` at end of input, else whether the line fit.
+fn read_capped_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let (mut fits, mut read_any) = (true, false);
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(read_any.then_some(fits));
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        fits &= line.len() + part.len() <= MAX_LINE_BYTES;
+        if fits {
+            line.extend_from_slice(part);
+        } else {
+            line.clear();
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_some() {
+            return Ok(Some(fits));
+        }
+    }
+}
+
 fn err(message: String) -> Json {
     Json::obj([("ok", Json::Bool(false)), ("error", Json::from(message))])
 }
@@ -307,59 +364,6 @@ fn duration_field(request: &Json, key: &str, default_ms: u64) -> Result<Duration
 
 fn region_json(region: &Region) -> Json {
     Json::Arr(region.iter().map(|n| Json::from(n.0 as u64)).collect())
-}
-
-/// Parses a serve topology spec: `torus:N`, `grid:WxH`, `ring:N`,
-/// `path:N`, `star:N`, or `pcsr:PATH` (opened as a mapped graph).
-///
-/// Built topologies must have at most [`MAX_BUILT_NODES`] nodes and at
-/// least as many as their builder needs; anything else is an error
-/// reply, not an allocation failure or a builder panic.
-fn parse_topology(spec: &str) -> Result<Graph, String> {
-    if let Some(file) = spec.strip_prefix("pcsr:") {
-        return Graph::open_pcsr(file).map_err(|e| format!("open {file}: {e}"));
-    }
-    let (kind, arg) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("malformed topology {spec:?}"))?;
-    let n = |arg: &str| -> Result<usize, String> {
-        arg.parse::<usize>()
-            .map_err(|_| format!("bad topology size {arg:?}"))
-    };
-    let area = |d: GridDims| d.width.checked_mul(d.height);
-    // The node count, if the builder accepts it and it fits the bound.
-    let sized = |nodes: Option<usize>, least: usize| -> Result<usize, String> {
-        nodes
-            .filter(|n| (least..=MAX_BUILT_NODES).contains(n))
-            .ok_or_else(|| {
-                format!(
-                    "topology {spec:?} must have {least} to {MAX_BUILT_NODES} nodes \
-                     (larger graphs open as pcsr:PATH)"
-                )
-            })
-    };
-    match kind {
-        "torus" => {
-            let dims = GridDims::square(n(arg)?);
-            sized(area(dims), 9)?;
-            Ok(torus(dims))
-        }
-        "grid" => {
-            let dims = match arg.split_once('x') {
-                Some((w, h)) => GridDims {
-                    width: n(w)?,
-                    height: n(h)?,
-                },
-                None => GridDims::square(n(arg)?),
-            };
-            sized(area(dims), 1)?;
-            Ok(grid(dims))
-        }
-        "ring" => Ok(ring(sized(Some(n(arg)?), 3)?)),
-        "path" => Ok(path(sized(Some(n(arg)?), 1)?)),
-        "star" => Ok(star(sized(Some(n(arg)?), 2)?)),
-        other => Err(format!("unknown topology kind {other:?}")),
-    }
 }
 
 #[cfg(test)]
@@ -492,5 +496,23 @@ mod tests {
         assert_eq!(status.get("activated").and_then(Json::as_u64), Some(4));
         assert_eq!(status.get("decisions").and_then(Json::as_u64), Some(4));
         ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+    }
+
+    /// Bad bytes and an overlong line each get an error reply; the
+    /// session keeps serving after both.
+    #[test]
+    fn malformed_lines_are_answered_not_fatal() {
+        let mut input = b"\xff\n".to_vec();
+        input.extend(std::iter::repeat_n(b' ', 2 * MAX_LINE_BYTES));
+        input.extend_from_slice(b"\n# comment\n\n{\"cmd\":\"status\"}\n");
+        let mut output = Vec::new();
+        ServeSession::default()
+            .serve(&input[..], &mut output)
+            .unwrap();
+        let replies: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert!(fail(replies[0]).contains("UTF-8"));
+        assert!(fail(replies[1]).contains("longer than"));
+        assert!(fail(replies[2]).contains("no open instance"), "status ran");
     }
 }

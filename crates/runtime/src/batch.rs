@@ -1,7 +1,5 @@
-//! Budgeted batch execution: many scenario variants through one
-//! lockstep [`BatchSim`], amortizing slot arenas, the shared
-//! [`Graph`](precipice_graph::Graph), and process allocations across
-//! the whole budget.
+//! Budgeted execution: many scenario variants of one scenario shape,
+//! run one after another on the lazy [`Simulation`](precipice_sim::Simulation).
 //!
 //! A [`BatchRunner`] is built once per scenario shape (graph + crash
 //! schedule + protocol + latency model) and then fed [`BatchJob`]s —
@@ -12,20 +10,18 @@
 //! - **fuzz budgets** (schedule exploration): same `seed`, varying
 //!   [`SchedulePolicy`] (one probe per budget index).
 //!
-//! Jobs are chunked into waves of `k` run slots; each wave executes in
-//! lockstep over the shared graph and results come back in job order.
-//! Every run is bit-identical to the same job executed on the scalar
-//! engines (see the [`exec`](crate::exec) equivalence contract).
+//! Each job runs on a fresh simulation, so every outcome is exactly
+//! what [`Scenario::exec`] returns for the same seed and policy.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use precipice_core::{CliffEdgeNode, DecisionPolicy, NodeIdValuePolicy};
+use precipice_core::{DecisionPolicy, NodeIdValuePolicy};
 use precipice_graph::NodeId;
-use precipice_sim::{BatchSim, BatchVariant, SchedulePolicy, SimConfig};
+use precipice_sim::{SchedulePolicy, SimConfig};
 
-use crate::adapter::ProtocolProcess;
 use crate::exec::ExecOutcome;
-use crate::scenario::{assemble, Scenario};
+use crate::scenario::Scenario;
 
 /// One run variant in a batch: the latency/RNG seed and the scheduling
 /// policy. Everything else — graph, crash schedule, protocol and
@@ -39,85 +35,56 @@ pub struct BatchJob {
     pub policy: SchedulePolicy,
 }
 
-type Spawn<P> = Box<dyn FnMut(usize, NodeId) -> ProtocolProcess<P>>;
-
-/// Reusable batch executor for one scenario shape. See the
+/// Reusable executor for one scenario shape. See the
 /// [module docs](self).
 pub struct BatchRunner<P: DecisionPolicy> {
     scenario: Scenario,
-    wave: usize,
-    sim: BatchSim<ProtocolProcess<P>, Spawn<P>>,
+    make_policy: Rc<RefCell<dyn FnMut(NodeId) -> P>>,
 }
 
 impl BatchRunner<NodeIdValuePolicy> {
     /// Runner with the default [`NodeIdValuePolicy`] decisions
     /// (border-coordinator election) — the batch analogue of
-    /// [`Exec::new`](crate::Exec::new).
+    /// [`Exec::new`](crate::Exec::new). `wave` has no effect (see
+    /// [`BatchRunner::new`]).
     pub fn with_default_policy(scenario: &Scenario, wave: usize) -> Self {
         BatchRunner::new(scenario, wave, |_me| NodeIdValuePolicy)
     }
 }
 
-impl<P: DecisionPolicy> BatchRunner<P> {
-    /// Builds a runner over `scenario` with waves of `wave` run slots
-    /// (clamped to at least 1). `make_policy` constructs each node's
-    /// decision policy, called lazily at the node's activation —
-    /// exactly like the scalar lazy engine.
-    pub fn new<F>(scenario: &Scenario, wave: usize, mut make_policy: F) -> Self
+impl<P: DecisionPolicy + 'static> BatchRunner<P> {
+    /// Builds a runner over `scenario`. `make_policy` constructs each
+    /// node's decision policy, called lazily at the node's activation.
+    ///
+    /// The wave size (second argument) has no effect: jobs run one at a
+    /// time. It is kept so existing callers compile unchanged.
+    pub fn new<F>(scenario: &Scenario, _wave: usize, make_policy: F) -> Self
     where
         F: FnMut(NodeId) -> P + 'static,
     {
-        let graph = Arc::clone(&scenario.graph);
-        let protocol = scenario.protocol;
-        let multicast = scenario.multicast;
-        let spawn_graph = Arc::clone(&graph);
-        let spawn: Spawn<P> = Box::new(move |_run, me| {
-            ProtocolProcess::with_multicast_mode(
-                CliffEdgeNode::new(me, Arc::clone(&spawn_graph), make_policy(me), protocol),
-                multicast,
-            )
-        });
         BatchRunner {
             scenario: scenario.clone(),
-            wave: wave.max(1),
-            sim: BatchSim::new(graph, spawn),
+            make_policy: Rc::new(RefCell::new(make_policy)),
         }
     }
 
-    /// Executes `jobs`, chunked into lockstep waves, returning one
-    /// [`ExecOutcome`] per job in job order. Slot arenas are reused
-    /// across waves *and* across `run` calls.
+    /// Executes `jobs` in order, returning one [`ExecOutcome`] per job
+    /// in job order.
     pub fn run(&mut self, jobs: &[BatchJob]) -> Vec<ExecOutcome<P::Value>> {
-        let mut out = Vec::with_capacity(jobs.len());
-        for chunk in jobs.chunks(self.wave) {
-            let variants: Vec<BatchVariant> = chunk
-                .iter()
-                .map(|job| BatchVariant {
-                    config: SimConfig {
-                        seed: job.seed,
-                        ..self.scenario.sim
-                    },
-                    policy: job.policy.clone(),
-                    crashes: self.scenario.crashes.clone(),
-                })
-                .collect();
-            for run in self.sim.run(&variants) {
-                let report = assemble(
-                    &self.scenario,
-                    run.processes.iter().map(|(id, p)| (*id, p)),
-                    run.metrics,
-                    &run.trace,
-                    run.outcome,
-                );
-                out.push(ExecOutcome {
-                    report,
-                    schedule: run.schedule.unwrap_or_default(),
-                    // The run owns its trace — moving it out is free.
-                    trace: Some(run.trace),
-                });
-            }
-        }
-        out
+        jobs.iter()
+            .map(|job| {
+                let make_policy = Rc::clone(&self.make_policy);
+                let sim = SimConfig {
+                    seed: job.seed,
+                    ..self.scenario.sim
+                };
+                self.scenario.exec_lazy(
+                    sim,
+                    move |me| (make_policy.borrow_mut())(me),
+                    job.policy.clone(),
+                )
+            })
+            .collect()
     }
 }
 
@@ -125,7 +92,6 @@ impl<P: DecisionPolicy> std::fmt::Debug for BatchRunner<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchRunner")
             .field("scenario", &self.scenario.name)
-            .field("wave", &self.wave)
             .finish_non_exhaustive()
     }
 }
@@ -155,8 +121,6 @@ mod tests {
                 policy: SchedulePolicy::Fifo,
             })
             .collect();
-        // Wave of 4 over 9 jobs: exercises full waves, a ragged tail,
-        // and slot reuse across waves.
         let mut runner = BatchRunner::new(&s, 4, |_me| NodeIdValuePolicy);
         let outcomes = runner.run(&jobs);
         assert_eq!(outcomes.len(), jobs.len());
@@ -192,7 +156,7 @@ mod tests {
             assert_eq!(got.report.metrics, want.report.metrics);
             assert_eq!(got.schedule, want.schedule);
         }
-        // Runner reuse: a second budget over the same slots still agrees.
+        // Runner reuse: a second budget through the same runner agrees.
         let again = runner.run(&jobs[..3]);
         for (got, want) in again.iter().zip(&outcomes[..3]) {
             assert_eq!(got.report.trace_hash, want.report.trace_hash);

@@ -10,21 +10,18 @@
 //!
 //! # Engine equivalence contract
 //!
-//! The three *simulated* engines produce **bit-identical** observables
+//! The two *simulated* engines produce **bit-identical** observables
 //! for the same scenario and options — same [`RunReport`] (trace hash,
 //! metrics, decisions, stats) and same recorded [`Schedule`]:
 //!
-//! - [`Engine::Lazy`] (default): footprint-proportional scalar run;
-//!   processes spawn immediately before their first event.
+//! - [`Engine::Lazy`] (default): footprint-proportional run; processes
+//!   spawn immediately before their first event. Budgeted drivers feed
+//!   whole seed sweeps and fuzz budgets through it with a
+//!   [`BatchRunner`](crate::BatchRunner).
 //! - [`Engine::Eager`]: the executable reference; all `n` processes are
 //!   built up front and `on_start` runs at time zero. Equivalent for
 //!   protocols whose `on_start` only monitors graph neighbours (the
 //!   cliff-edge protocol's line 4) — see `tests/lazy_eager_differential.rs`.
-//! - [`Engine::Batched`]: the lockstep multi-run engine
-//!   ([`precipice_sim::batch`]); one `exec` call runs a single-variant
-//!   wave, while sweep drivers ([`crate::BatchRunner`]) reuse its slot
-//!   arenas across thousands of runs. Equivalence is enforced by the
-//!   `batched ≡ scalar` differential tests and the CI byte-diff job.
 //!
 //! # The live engine
 //!
@@ -56,15 +53,6 @@ pub enum Engine {
     /// The eager reference: all `n` processes built up front, `on_start`
     /// at time zero.
     Eager,
-    /// The lockstep batch engine with waves of `k` run slots. For a
-    /// single `exec` this is a one-variant wave (useful to pin the
-    /// equivalence contract); budgeted drivers go through
-    /// [`BatchRunner`](crate::BatchRunner) to amortize slot arenas
-    /// across the whole budget.
-    Batched {
-        /// Run slots per lockstep wave.
-        k: usize,
-    },
     /// The sharded live backend (`precipice-net`): real worker threads
     /// own disjoint node ranges and exchange events over bounded MPSC
     /// rings. Free-running — observably equivalent on decisions, views

@@ -9,8 +9,7 @@
 //!   run is reproducible from the scenario value alone.
 //! - [`Scenario::exec`] executes it under [`Exec`] options (decision
 //!   policy × scheduling policy × [`Engine`]); [`BatchRunner`] drives
-//!   whole seed sweeps and fuzz budgets through the lockstep batch
-//!   engine with identical per-run results.
+//!   whole seed sweeps and fuzz budgets through the same lazy engine.
 //! - [`Engine::Live`](exec::Engine::Live) targets the sharded live
 //!   runtime (`precipice-net`) through the same `exec` call, and
 //!   [`probe_live`] explores deterministic *gated* schedules on that

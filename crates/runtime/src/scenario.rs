@@ -8,7 +8,6 @@ use precipice_sim::{
 };
 
 use crate::adapter::{MulticastMode, ProtocolProcess};
-use crate::batch::{BatchJob, BatchRunner};
 use crate::exec::{Engine, Exec, ExecOutcome};
 use crate::report::{Decision, RunReport};
 
@@ -74,24 +73,21 @@ impl Scenario {
             ..
         } = options;
         match engine {
-            Engine::Lazy => self.exec_lazy(make_policy, schedule),
+            Engine::Lazy => self.exec_lazy(self.sim, make_policy, schedule),
             Engine::Eager => self.exec_eager(make_policy, schedule),
-            Engine::Batched { k } => {
-                let mut runner = BatchRunner::new(self, k, make_policy);
-                runner
-                    .run(&[BatchJob {
-                        seed: self.sim.seed,
-                        policy: schedule,
-                    }])
-                    .pop()
-                    .expect("one job in, one outcome out")
-            }
             Engine::Live { shards } => crate::live::exec_live(self, shards, make_policy),
         }
     }
 
-    /// The lazy (footprint-proportional) engine.
-    fn exec_lazy<P, F>(&self, make_policy: F, schedule: SchedulePolicy) -> ExecOutcome<P::Value>
+    /// The lazy (footprint-proportional) engine, under simulator
+    /// configuration `config` (the scenario's own, or a seed variant of
+    /// it from [`BatchRunner`](crate::BatchRunner)).
+    pub(crate) fn exec_lazy<P, F>(
+        &self,
+        config: SimConfig,
+        make_policy: F,
+        schedule: SchedulePolicy,
+    ) -> ExecOutcome<P::Value>
     where
         P: DecisionPolicy,
         F: FnMut(NodeId) -> P + 'static,
@@ -106,7 +102,7 @@ impl Scenario {
                 multicast,
             )
         };
-        let mut sim = Simulation::lazy_with_policy(self.sim, &self.graph, factory, schedule);
+        let mut sim = Simulation::lazy_with_policy(config, &self.graph, factory, schedule);
         for &(node, at) in &self.crashes {
             sim.schedule_crash(node, at);
         }
@@ -117,8 +113,8 @@ impl Scenario {
     /// The **eager reference engine**: pre-builds all `n` processes and
     /// runs their `on_start` at time zero, exactly as the simulator
     /// always did before lazy activation. Kept as the executable
-    /// specification the other engines are differentially tested
-    /// against, and as the "before" arm of the `bench_locality` report.
+    /// specification the lazy engine is differentially tested against,
+    /// and as the "before" arm of the `bench_locality` report.
     fn exec_eager<P, F>(
         &self,
         mut make_policy: F,
@@ -171,13 +167,10 @@ impl Scenario {
     }
 }
 
-/// Assembles a [`RunReport`] from a finished run's observables —
-/// shared by every engine (the scalar runners hand over the live
-/// simulation's views; the batch runner hands over each
-/// [`BatchRun`](precipice_sim::BatchRun)'s materialized state), which
-/// is what makes "same inputs ⇒ same report" hold *across* engines and
-/// not just within one.
-pub(crate) fn assemble<'a, P>(
+/// Assembles a [`RunReport`] from a finished simulation's observables —
+/// shared by the lazy and eager engines, which is what makes "same
+/// inputs ⇒ same report" hold *across* engines and not just within one.
+fn assemble<'a, P>(
     scenario: &Scenario,
     procs: impl Iterator<Item = (NodeId, &'a ProtocolProcess<P>)>,
     metrics: Metrics,
@@ -318,7 +311,7 @@ impl ScenarioBuilder {
     /// disagreed on duplicates (the event queue kept both crash events
     /// while `RunReport::crashed` folded to the earliest); deduplicating
     /// at the seal point makes every consumer — event queue, failure
-    /// detector, reports, batch variants — see the same schedule.
+    /// detector, reports, batch jobs — see the same schedule.
     pub fn build(self) -> Scenario {
         let mut crashes: Vec<(NodeId, SimTime)> = Vec::with_capacity(self.crashes.len());
         let mut index: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -437,32 +430,5 @@ mod tests {
         assert_eq!(a.report.trace_hash, b.report.trace_hash);
         assert_eq!(a.report.crashed, b.report.crashed);
         assert_eq!(a.report.metrics, b.report.metrics);
-    }
-
-    #[test]
-    fn batched_engine_matches_lazy_engine() {
-        let scenario = Scenario::builder(precipice_graph::ring(8))
-            .crash(NodeId(2), SimTime::from_millis(1))
-            .crash(NodeId(3), SimTime::from_millis(4))
-            .seed(7)
-            .build();
-        for policy in [
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Random(5),
-            SchedulePolicy::Pcr(9),
-        ] {
-            let lazy = scenario.exec(Exec::new().schedule(policy.clone()));
-            let batched = scenario.exec(
-                Exec::new()
-                    .schedule(policy)
-                    .engine(Engine::Batched { k: 4 }),
-            );
-            assert_eq!(lazy.report.trace_hash, batched.report.trace_hash);
-            assert_eq!(lazy.report.metrics, batched.report.metrics);
-            assert_eq!(lazy.report.decisions, batched.report.decisions);
-            assert_eq!(lazy.report.stats, batched.report.stats);
-            assert_eq!(lazy.report.message_pairs, batched.report.message_pairs);
-            assert_eq!(lazy.schedule, batched.schedule);
-        }
     }
 }

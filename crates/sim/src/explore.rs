@@ -302,15 +302,14 @@ impl FromStr for Schedule {
     }
 }
 
-/// A frontier candidate as the batch engine stores it: position in the
-/// event slab, scheduling order, and the target node — everything a
+/// An enabled event as the simulator's frontier stores it: position in
+/// the event slab, scheduling order, and the target node — everything a
 /// policy pick needs *except* the stable [`EventKey`], which
-/// [`Explorer::choose_frontier`] materializes lazily (deviation
-/// recording and replay matching only), so the per-step scan does no
-/// per-candidate channel-count lookups.
+/// [`Explorer::choose`] materializes lazily (deviation recording and
+/// replay matching only), so a step does no per-candidate key building.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrontierEntry {
-    /// Index into the batch slab.
+    /// Index into the simulator's event slab.
     pub idx: u32,
     /// Global push sequence number (FIFO tie-break; frontier sort key).
     pub seq: u64,
@@ -320,29 +319,13 @@ pub(crate) struct FrontierEntry {
     pub target: NodeId,
 }
 
-/// A schedulable event as presented to the policy: its identity, its
-/// target node (whose handler runs), and its FIFO key.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    /// Index into the simulator's pending list.
-    pub pending_idx: usize,
-    /// Stable identity.
-    pub key: EventKey,
-    /// Node whose state the event touches.
-    pub target: NodeId,
-    /// Scheduled (latency) execution time.
-    pub at: SimTime,
-    /// Global push sequence number (FIFO tie-break).
-    pub seq: u64,
-}
-
 /// Deterministic SplitMix64 — the explorer's private RNG, independent of
 /// the simulator's latency stream.
 #[derive(Debug, Clone)]
-struct SplitMix(u64);
+pub(crate) struct SplitMix(pub(crate) u64);
 
 impl SplitMix {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -356,7 +339,7 @@ impl SplitMix {
     /// for non-power-of-two candidate counts some events were
     /// measurably likelier than others, skewing every Random/PCR
     /// exploration stream.
-    fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         let n = n as u64;
         debug_assert!(n > 0);
         let mut m = u128::from(self.next()) * u128::from(n);
@@ -390,19 +373,12 @@ enum Mode {
 }
 
 /// The engine behind a non-FIFO [`SchedulePolicy`]: picks among enabled
-/// candidates, records deviations, and tracks per-channel delivery
-/// counts for stable [`EventKey`]s.
+/// events and records deviations.
 #[derive(Debug, Clone)]
 pub(crate) struct Explorer {
     mode: Mode,
     recorded: Vec<Deviation>,
     step: u64,
-    /// Executed deliveries per directed channel (includes deliveries
-    /// dropped at a crashed receiver — they consume a decision too).
-    /// Maintained by [`Explorer::choose`] for the scalar candidate scan;
-    /// the batch engine tracks counts in its channel slots instead and
-    /// never reads this.
-    delivered: BTreeMap<(NodeId, NodeId), u32>,
     /// Reusable dependent-set buffer for PCR picks over a frontier.
     scratch: Vec<u32>,
 }
@@ -431,36 +407,39 @@ impl Explorer {
             mode,
             recorded: Vec::new(),
             step: 0,
-            delivered: BTreeMap::new(),
             scratch: Vec::new(),
         })
     }
 
-    /// The per-channel delivery count (the `nth` for the next delivery
-    /// on `from -> to`).
-    pub fn channel_count(&self, from: NodeId, to: NodeId) -> u32 {
-        self.delivered.get(&(from, to)).copied().unwrap_or(0)
-    }
-
-    /// Picks the candidate to execute next. `fifo` is the index (into
-    /// `candidates`) of the latency-ordered choice. Records a deviation
+    /// Picks the frontier event to execute next. `frontier` is the
+    /// seq-ordered enabled set and `fifo` the index of its
+    /// latency-ordered choice; `key_of(i)` produces event `i`'s stable
+    /// key on demand (replay matching and deviation recording are the
+    /// only consumers, and never touch the RNG). Records a deviation
     /// when the pick differs from FIFO, and advances the decision step.
-    pub fn choose(&mut self, candidates: &[Candidate], fifo: usize) -> usize {
-        debug_assert!(!candidates.is_empty());
+    pub(crate) fn choose(
+        &mut self,
+        frontier: &[FrontierEntry],
+        fifo: usize,
+        mut key_of: impl FnMut(usize) -> EventKey,
+    ) -> usize {
+        debug_assert!(!frontier.is_empty());
         let choice = match &mut self.mode {
-            Mode::Random(rng) => rng.below(candidates.len()),
+            Mode::Random(rng) => rng.below(frontier.len()),
             Mode::Pcr(rng) => {
                 // Only permute events dependent with the FIFO choice:
                 // those racing at the same target node. Everything else
                 // commutes (atomic handlers, per-node state).
-                let target = candidates[fifo].target;
-                let dependent: Vec<usize> = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.target == target)
-                    .map(|(i, _)| i)
-                    .collect();
-                dependent[rng.below(dependent.len())]
+                let target = frontier[fifo].target;
+                self.scratch.clear();
+                self.scratch.extend(
+                    frontier
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, c)| c.target == target)
+                        .map(|(i, _)| i as u32),
+                );
+                self.scratch[rng.below(self.scratch.len())] as usize
             }
             Mode::Replay { queue, next } => {
                 let mut choice = fifo;
@@ -469,7 +448,7 @@ impl Explorer {
                         // Honor the recorded pick if its event is
                         // enabled; a shrunk/stale deviation silently
                         // falls back to FIFO.
-                        if let Some(i) = candidates.iter().position(|c| c.key == dev.key) {
+                        if let Some(i) = (0..frontier.len()).find(|&i| key_of(i) == dev.key) {
                             choice = i;
                         }
                         *next += 1;
@@ -487,107 +466,6 @@ impl Explorer {
                 // Base replay first; at base-silent steps try the flip
                 // once, then extend past the base with occasional
                 // dependent picks (see `GuidedSpec`).
-                let mut choice = fifo;
-                let mut base_fired = false;
-                if let Some(dev) = queue.get(*next) {
-                    if dev.step == self.step {
-                        if let Some(i) = candidates.iter().position(|c| c.key == dev.key) {
-                            choice = i;
-                        }
-                        *next += 1;
-                        base_fired = true;
-                    }
-                }
-                if !base_fired {
-                    if let Some((first, second)) = *flip {
-                        if !*flipped && candidates[fifo].key == first {
-                            if let Some(i) = candidates.iter().position(|c| c.key == second) {
-                                choice = i;
-                                *flipped = true;
-                            }
-                        }
-                    }
-                    if choice == fifo && *next >= queue.len() && rng.below(4) == 0 {
-                        let target = candidates[fifo].target;
-                        let dependent: Vec<usize> = candidates
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, c)| c.target == target)
-                            .map(|(i, _)| i)
-                            .collect();
-                        choice = dependent[rng.below(dependent.len())];
-                    }
-                }
-                choice
-            }
-        };
-        if choice != fifo {
-            self.recorded.push(Deviation {
-                step: self.step,
-                key: candidates[choice].key,
-            });
-        }
-        if let EventKey::Deliver { from, to, .. } = candidates[choice].key {
-            *self.delivered.entry((from, to)).or_insert(0) += 1;
-        }
-        self.step += 1;
-        choice
-    }
-
-    /// Batch-engine counterpart of [`Explorer::choose`]: picks over a
-    /// seq-ordered enabled frontier without materializing per-candidate
-    /// [`EventKey`]s. The RNG draw sequence, deviation records and
-    /// decision-step numbering are bit-identical to `choose` on the
-    /// equivalent candidate list; `key_of(i)` produces candidate `i`'s
-    /// stable key on demand (replay matching and deviation recording —
-    /// the only consumers). Per-channel delivery counts are *not*
-    /// tracked here: the batch engine owns them (its channel slots),
-    /// and `key_of` reads them from there.
-    pub(crate) fn choose_frontier(
-        &mut self,
-        frontier: &[FrontierEntry],
-        fifo: usize,
-        mut key_of: impl FnMut(usize) -> EventKey,
-    ) -> usize {
-        debug_assert!(!frontier.is_empty());
-        let choice = match &mut self.mode {
-            Mode::Random(rng) => rng.below(frontier.len()),
-            Mode::Pcr(rng) => {
-                // Same dependent-set semantics as `choose`, with a
-                // reused index buffer instead of a fresh Vec per step.
-                let target = frontier[fifo].target;
-                self.scratch.clear();
-                self.scratch.extend(
-                    frontier
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.target == target)
-                        .map(|(i, _)| i as u32),
-                );
-                self.scratch[rng.below(self.scratch.len())] as usize
-            }
-            Mode::Replay { queue, next } => {
-                let mut choice = fifo;
-                if let Some(dev) = queue.get(*next) {
-                    if dev.step == self.step {
-                        if let Some(i) = (0..frontier.len()).find(|&i| key_of(i) == dev.key) {
-                            choice = i;
-                        }
-                        *next += 1;
-                    }
-                }
-                choice
-            }
-            Mode::Guided {
-                queue,
-                next,
-                rng,
-                flip,
-                flipped,
-            } => {
-                // Mirror of the `choose` arm: identical RNG draw
-                // sequence (`key_of` calls never touch the RNG), so a
-                // guided run is bit-identical scalar vs batched.
                 let mut choice = fifo;
                 let mut base_fired = false;
                 if let Some(dev) = queue.get(*next) {
@@ -881,20 +759,42 @@ mod tests {
         assert!(xs.iter().any(|&x| x != xs[0]));
     }
 
+    /// A frontier of crash events, one per `(node, target)` pair, with
+    /// the keys the simulator's lazy lookup would produce.
+    struct Crashes {
+        frontier: Vec<FrontierEntry>,
+        keys: Vec<EventKey>,
+    }
+
+    fn crashes(events: &[(u32, u32)]) -> Crashes {
+        let frontier = events
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, target))| FrontierEntry {
+                idx: i as u32,
+                seq: i as u64,
+                at: SimTime::ZERO,
+                target: NodeId(target),
+            })
+            .collect();
+        let keys = events
+            .iter()
+            .map(|&(node, _)| EventKey::Crash { node: NodeId(node) })
+            .collect();
+        Crashes { frontier, keys }
+    }
+
+    fn pick(ex: &mut Explorer, c: &Crashes, fifo: usize) -> usize {
+        ex.choose(&c.frontier, fifo, |i| c.keys[i])
+    }
+
     #[test]
     fn explorer_records_only_deviations() {
-        let mk = |idx: usize, node: u32, seq: u64| Candidate {
-            pending_idx: idx,
-            key: EventKey::Crash { node: NodeId(node) },
-            target: NodeId(node),
-            at: SimTime::ZERO,
-            seq,
-        };
         // Replay of an empty schedule is pure FIFO and records nothing.
         let mut ex = Explorer::new(SchedulePolicy::Replay(Schedule::fifo())).unwrap();
-        let cands = [mk(0, 1, 0), mk(1, 2, 1)];
-        assert_eq!(ex.choose(&cands, 0), 0);
-        assert_eq!(ex.choose(&cands, 1), 1);
+        let cands = crashes(&[(1, 1), (2, 2)]);
+        assert_eq!(pick(&mut ex, &cands, 0), 0);
+        assert_eq!(pick(&mut ex, &cands, 1), 1);
         assert!(ex.recorded().is_empty());
         assert_eq!(ex.steps(), 2);
 
@@ -904,8 +804,8 @@ mod tests {
             key: EventKey::Crash { node: NodeId(2) },
         }]);
         let mut ex = Explorer::new(SchedulePolicy::Replay(sched.clone())).unwrap();
-        assert_eq!(ex.choose(&cands, 0), 0);
-        assert_eq!(ex.choose(&cands, 0), 1, "deviation picked over fifo");
+        assert_eq!(pick(&mut ex, &cands, 0), 0);
+        assert_eq!(pick(&mut ex, &cands, 0), 1, "deviation picked over fifo");
         assert_eq!(ex.recorded(), sched);
 
         // A deviation naming an absent event falls back to FIFO.
@@ -914,7 +814,7 @@ mod tests {
             key: EventKey::Crash { node: NodeId(99) },
         }]);
         let mut ex = Explorer::new(SchedulePolicy::Replay(stale)).unwrap();
-        assert_eq!(ex.choose(&cands, 0), 0);
+        assert_eq!(pick(&mut ex, &cands, 0), 0);
         assert!(ex.recorded().is_empty());
     }
 
@@ -923,26 +823,62 @@ mod tests {
         assert!(Explorer::new(SchedulePolicy::Fifo).is_none());
     }
 
+    /// A delivery's key names its per-channel index: every recorded
+    /// deviation of a random run names the delivery the trace shows at
+    /// that step, with `nth` = the channel's earlier deliveries.
     #[test]
     fn channel_counts_advance_on_deliveries() {
-        let deliver = |idx: usize, nth: u32| Candidate {
-            pending_idx: idx,
-            key: EventKey::Deliver {
-                from: NodeId(0),
-                to: NodeId(1),
-                nth,
+        use crate::{Context, LatencyModel, Process, SimConfig, Simulation};
+
+        struct Burst(Vec<NodeId>);
+        impl Process for Burst {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+                for &to in &self.0 {
+                    ctx.send(to, ());
+                }
+            }
+            fn on_message(&mut self, _: NodeId, _: (), _: &mut Context<'_, ()>) {}
+            fn on_crash_notification(&mut self, _: NodeId, _: &mut Context<'_, ()>) {}
+        }
+        let burst = |to: &[u32]| Burst(to.iter().cycle().take(18).map(|&t| NodeId(t)).collect());
+        let config = SimConfig {
+            latency: LatencyModel::Uniform {
+                min: SimTime::from_micros(100),
+                max: SimTime::from_millis(5),
             },
-            target: NodeId(1),
-            at: SimTime::ZERO,
-            seq: idx as u64,
+            ..SimConfig::default().with_trace()
         };
-        let mut ex = Explorer::new(SchedulePolicy::Random(7)).unwrap();
-        assert_eq!(ex.channel_count(NodeId(0), NodeId(1)), 0);
-        ex.choose(&[deliver(0, 0)], 0);
-        assert_eq!(ex.channel_count(NodeId(0), NodeId(1)), 1);
-        ex.choose(&[deliver(0, 1)], 0);
-        assert_eq!(ex.channel_count(NodeId(0), NodeId(1)), 2);
-        assert_eq!(ex.channel_count(NodeId(1), NodeId(0)), 0);
+        let procs = vec![burst(&[3, 1]), burst(&[3]), burst(&[3, 0]), burst(&[])];
+        let mut sim = Simulation::with_policy(config, procs, SchedulePolicy::Random(3));
+        assert!(sim.run().is_quiescent());
+        let executed: Vec<TraceEntry> = sim
+            .trace()
+            .entries()
+            .unwrap()
+            .iter()
+            .filter(|e| !matches!(e, TraceEntry::Send { .. }))
+            .copied()
+            .collect();
+        let schedule = sim.recorded_schedule().unwrap();
+        let mut later_deliveries = 0;
+        for dev in &schedule.deviations {
+            let EventKey::Deliver { from, to, nth } = dev.key else {
+                panic!("only deliveries are pending: {dev}");
+            };
+            let step = dev.step as usize;
+            assert!(
+                matches!(executed[step], TraceEntry::Deliver { from: f, to: t, .. } if (f, t) == (from, to)),
+                "deviation {dev} is not the delivery executed at its step"
+            );
+            let earlier = executed[..step]
+                .iter()
+                .filter(|e| matches!(e, TraceEntry::Deliver { from: f, to: t, .. } if (*f, *t) == (from, to)))
+                .count();
+            assert_eq!(nth as usize, earlier, "deviation {dev}");
+            later_deliveries += usize::from(nth > 0);
+        }
+        assert!(later_deliveries > 0, "counts advanced past 0: {schedule}");
     }
 
     /// Lemire rejection makes `below` exactly uniform: over many draws
@@ -972,13 +908,6 @@ mod tests {
 
     #[test]
     fn guided_with_fifo_base_and_no_flip_extends_from_seed() {
-        let mk = |idx: usize, node: u32| Candidate {
-            pending_idx: idx,
-            key: EventKey::Crash { node: NodeId(node) },
-            target: NodeId(0),
-            at: SimTime::ZERO,
-            seq: idx as u64,
-        };
         // All candidates share a target, so every step the extension
         // fires it may pick any of them. Deterministic in the seed.
         let spec = GuidedSpec {
@@ -988,8 +917,10 @@ mod tests {
         };
         let run = |spec: GuidedSpec| {
             let mut ex = Explorer::new(SchedulePolicy::Guided(spec)).unwrap();
-            let cands = [mk(0, 1), mk(1, 2), mk(2, 3)];
-            (0..16).map(|_| ex.choose(&cands, 0)).collect::<Vec<_>>()
+            let cands = crashes(&[(1, 0), (2, 0), (3, 0)]);
+            (0..16)
+                .map(|_| pick(&mut ex, &cands, 0))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(spec.clone()), run(spec.clone()), "seed-deterministic");
         let other = GuidedSpec { seed: 12, ..spec };
@@ -1000,14 +931,7 @@ mod tests {
     #[test]
     fn guided_honors_base_and_fires_flip_once() {
         let crash = |node: u32| EventKey::Crash { node: NodeId(node) };
-        let mk = |idx: usize, node: u32| Candidate {
-            pending_idx: idx,
-            key: crash(node),
-            target: NodeId(node),
-            at: SimTime::ZERO,
-            seq: idx as u64,
-        };
-        let cands = [mk(0, 1), mk(1, 2), mk(2, 3)];
+        let cands = crashes(&[(1, 1), (2, 2), (3, 3)]);
         // Base deviates at step 0 to C2; flip (C1, C3) is armed.
         let spec = GuidedSpec {
             base: Schedule::new(vec![Deviation {
@@ -1019,9 +943,9 @@ mod tests {
         };
         let mut ex = Explorer::new(SchedulePolicy::Guided(spec)).unwrap();
         // Step 0: the base deviation wins (flip not consulted).
-        assert_eq!(ex.choose(&cands, 0), 1);
+        assert_eq!(pick(&mut ex, &cands, 0), 1);
         // Step 1: base exhausted, fifo is C1 = flip.0, C3 enabled → flip.
-        assert_eq!(ex.choose(&cands, 0), 2);
+        assert_eq!(pick(&mut ex, &cands, 0), 2);
         // Step 2: flip already spent; with seed 5 the extension draw
         // stays FIFO here, and the recorded schedule holds both
         // deviations — replayable like any other.

@@ -62,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod batch;
 pub mod explore;
 mod fd;
 mod latency;
@@ -72,7 +71,6 @@ mod sim;
 mod time;
 mod trace;
 
-pub use batch::{BatchRun, BatchSim, BatchVariant};
 pub use explore::{
     race_pairs_of, CoverageMap, Deviation, EventKey, GuidedSpec, ProbeCoverage, Schedule,
     SchedulePolicy,

@@ -32,16 +32,14 @@ pub struct NodeMetrics {
 /// tests assert whole-`Metrics` equality.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    // pub(crate): the batch engine keeps these counters in flat K-wide
-    // arrays during a run and materializes a `Metrics` at run finish.
-    pub(crate) per_node: BTreeMap<NodeId, NodeMetrics>,
-    pub(crate) messages_sent: u64,
-    pub(crate) messages_delivered: u64,
-    pub(crate) messages_dropped: u64,
-    pub(crate) bytes_sent: u64,
-    pub(crate) crash_notifications: u64,
-    pub(crate) events_processed: u64,
-    pub(crate) finished_at: SimTime,
+    per_node: BTreeMap<NodeId, NodeMetrics>,
+    messages_sent: u64,
+    messages_delivered: u64,
+    messages_dropped: u64,
+    bytes_sent: u64,
+    crash_notifications: u64,
+    events_processed: u64,
+    finished_at: SimTime,
 }
 
 impl Metrics {

@@ -1,12 +1,12 @@
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use precipice_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::explore::{Candidate, EventKey, Explorer, Schedule, SchedulePolicy};
+use crate::explore::{EventKey, Explorer, FrontierEntry, Schedule, SchedulePolicy};
 use crate::process::{Command, Context, MessageSize, Process};
 use crate::trace::{Trace, TraceEntry};
 use crate::{FailureDetector, LatencyModel, Metrics, SimTime};
@@ -90,16 +90,16 @@ impl RunOutcome {
     }
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver { to: NodeId, from: NodeId, msg: M },
     Notify { to: NodeId, crashed: NodeId },
     Crash { node: NodeId },
 }
 
-pub(crate) struct Entry<M> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind<M>,
+struct Entry<M> {
+    at: SimTime,
+    seq: u64,
+    kind: EventKind<M>,
 }
 
 impl<M> PartialEq for Entry<M> {
@@ -150,69 +150,78 @@ impl<P> ProcessTable<P> {
     }
 }
 
+/// Sentinel for "no event" in the per-channel pending lists.
+const NONE: u32 = u32::MAX;
+
+/// One directed channel: the FIFO clamp, and under an exploring policy
+/// the executed-delivery count (the `nth` of the next delivery's
+/// [`EventKey`]) plus the channel's pending deliveries as a list
+/// through the event slab, oldest first.
+struct Channel {
+    /// Latest scheduled delivery time; clamping new deliveries to it
+    /// keeps the channel FIFO under jittery latency.
+    last_at: SimTime,
+    delivered: u32,
+    head: u32,
+    tail: u32,
+}
+
+/// A pending event in the exploring store, with its channel (`NONE`
+/// for crashes and notifications) and its successor on that channel.
+struct Slot<M> {
+    entry: Option<Entry<M>>,
+    chan: u32,
+    next: u32,
+}
+
 /// The per-run mutable state of a simulation, split from the run's
-/// immutable inputs (configuration, process table, scheduling policy)
-/// so drivers can **recycle** it: the scalar [`Simulation`] owns one
-/// for its single run; the lockstep batch engine
-/// ([`batch`](crate::batch)) owns one per concurrent run slot and
-/// [`reset`](RunState::reset)s them between waves, so a thousand-run
-/// sweep reuses the same heap allocations instead of reallocating
-/// queues, scratch tables and trace buffers per run.
-pub(crate) struct RunState<M> {
-    /// Crash flags, indexed by node (scalar driver only; the batch
-    /// engine keeps crash flags on its footprint-proportional node
-    /// slots and leaves this empty).
-    pub(crate) crashed: Vec<bool>,
+/// immutable inputs (configuration, process table, scheduling policy).
+struct RunState<M> {
+    /// Crash flags, indexed by node.
+    crashed: Vec<bool>,
     /// Latency-ordered event queue (FIFO policy hot path).
-    pub(crate) queue: BinaryHeap<Entry<M>>,
-    /// Pending events in push (seq) order — used instead of `queue` when
-    /// an exploring [`SchedulePolicy`] is installed, so the scheduler can
-    /// pick any enabled event, not just the latency-ordered head.
-    /// Executed entries become `None` tombstones (swap-free removal); the
-    /// scalar driver compacts the vector once dead slots outnumber live
-    /// ones, while the batch engine treats the dead slots as a free list
-    /// (its frontier index never scans the vector).
-    pub(crate) pending: Vec<Option<Entry<M>>>,
-    pub(crate) pending_live: usize,
-    /// Scratch for the scalar `pop_next` scan: channels already seen this
-    /// scan (the first live entry per channel is its FIFO-enabled head).
-    /// Reused across steps; only membership-tested, never iterated, so
-    /// the hash order cannot leak into scheduling.
-    pub(crate) seen_channels: HashSet<(NodeId, NodeId)>,
-    /// Scratch candidate list, reused across steps.
-    pub(crate) candidates: Vec<Candidate>,
-    /// Last scheduled delivery time per directed channel; clamping new
-    /// deliveries to it keeps channels FIFO under jittery latency.
-    ///
-    /// Stored as a per-sender sorted row keyed on the receiver, so the
-    /// table costs O(channels actually used) — in localized workloads a
-    /// sender only ever talks to its border, and a run on a million-node
-    /// graph keeps rows for the handful of active senders only (a dense
-    /// n-slot row per sender would be 8 MB each at n = 10⁶). Lookups are
-    /// a hash on the sender plus a binary search on the receiver.
-    /// (Scalar driver only; the batch engine keeps the row on the
-    /// sender's node slot.)
-    pub(crate) fifo_last: HashMap<NodeId, Vec<(NodeId, SimTime)>>,
-    pub(crate) metrics: Metrics,
-    pub(crate) trace: Trace,
-    pub(crate) rng: StdRng,
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) started: bool,
-    pub(crate) events_processed: u64,
-    pub(crate) command_buf: Vec<Command<M>>,
+    queue: BinaryHeap<Entry<M>>,
+    /// Pending events under an exploring [`SchedulePolicy`] (used
+    /// instead of `queue`), in slots that are reused once executed.
+    slab: Vec<Slot<M>>,
+    free: Vec<u32>,
+    /// The enabled events, in seq order: every pending crash and
+    /// notification, plus the head of every channel with pending
+    /// deliveries. Crashes and notifications join when pushed; a
+    /// delivery joins when it becomes its channel's head, which is at
+    /// its push or when its predecessor is popped. The policy picks
+    /// over this slice directly, so a step never rescans the pending
+    /// events.
+    frontier: Vec<FrontierEntry>,
+    channels: Vec<Channel>,
+    /// Channel index per directed channel, stored as a per-sender
+    /// sorted row keyed on the receiver, so the table costs O(channels
+    /// actually used) — in localized workloads a sender only ever talks
+    /// to its border, and a run on a million-node graph keeps rows for
+    /// the handful of active senders only (a dense n-slot row per
+    /// sender would be 8 MB each at n = 10⁶). Lookups are a hash on the
+    /// sender plus a binary search on the receiver.
+    channel_of: HashMap<NodeId, Vec<(NodeId, u32)>>,
+    metrics: Metrics,
+    trace: Trace,
+    rng: StdRng,
+    time: SimTime,
+    seq: u64,
+    started: bool,
+    events_processed: u64,
+    command_buf: Vec<Command<M>>,
 }
 
 impl<M> RunState<M> {
-    pub(crate) fn new(config: &SimConfig, n: usize) -> Self {
+    fn new(config: &SimConfig, n: usize) -> Self {
         RunState {
             crashed: vec![false; n],
             queue: BinaryHeap::new(),
-            pending: Vec::new(),
-            pending_live: 0,
-            seen_channels: HashSet::new(),
-            candidates: Vec::new(),
-            fifo_last: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            frontier: Vec::new(),
+            channels: Vec::new(),
+            channel_of: HashMap::new(),
             metrics: Metrics::default(),
             trace: Trace::new(config.record_trace),
             rng: StdRng::seed_from_u64(config.seed),
@@ -224,25 +233,117 @@ impl<M> RunState<M> {
         }
     }
 
-    /// Rearms the state for a fresh run under `config`, keeping every
-    /// reusable allocation (queues, scratch tables, trace storage).
-    pub(crate) fn reset(&mut self, config: &SimConfig, n: usize) {
-        self.crashed.clear();
-        self.crashed.resize(n, false);
-        self.queue.clear();
-        self.pending.clear();
-        self.pending_live = 0;
-        self.seen_channels.clear();
-        self.candidates.clear();
-        self.fifo_last.clear();
-        self.metrics = Metrics::default();
-        self.trace.reset(config.record_trace);
-        self.rng = StdRng::seed_from_u64(config.seed);
-        self.time = SimTime::ZERO;
-        self.seq = 0;
-        self.started = false;
-        self.events_processed = 0;
-        self.command_buf.clear();
+    /// The index of channel `from -> to`, created on first use.
+    fn channel(&mut self, from: NodeId, to: NodeId) -> u32 {
+        let row = self.channel_of.entry(from).or_default();
+        match row.binary_search_by_key(&to, |&(t, _)| t) {
+            Ok(i) => row[i].1,
+            Err(i) => {
+                let chan = self.channels.len() as u32;
+                row.insert(i, (to, chan));
+                self.channels.push(Channel {
+                    // ZERO: the clamp is the identity on the first send.
+                    last_at: SimTime::ZERO,
+                    delivered: 0,
+                    head: NONE,
+                    tail: NONE,
+                });
+                chan
+            }
+        }
+    }
+
+    /// Stores a pending event under an exploring policy; `chan` is the
+    /// delivery's channel, or `NONE` for a crash or notification.
+    fn enqueue(&mut self, entry: Entry<M>, chan: u32) {
+        let slot = Slot {
+            entry: Some(entry),
+            chan,
+            next: NONE,
+        };
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slab.push(slot);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        if chan == NONE {
+            return self.enable(idx);
+        }
+        let ch = &mut self.channels[chan as usize];
+        if ch.head == NONE {
+            ch.head = idx;
+            ch.tail = idx;
+            self.enable(idx);
+        } else {
+            let tail = std::mem::replace(&mut ch.tail, idx);
+            self.slab[tail as usize].next = idx;
+        }
+    }
+
+    /// Inserts slab event `idx` into the seq-ordered frontier. A new
+    /// event carries the highest seq so far, so this is usually an
+    /// append; an unlocked channel successor pays one small memmove.
+    fn enable(&mut self, idx: u32) {
+        let e = self.slab[idx as usize]
+            .entry
+            .as_ref()
+            .expect("enabled event is live");
+        let target = match e.kind {
+            EventKind::Deliver { to, .. } | EventKind::Notify { to, .. } => to,
+            EventKind::Crash { node } => node,
+        };
+        let f = FrontierEntry {
+            idx,
+            seq: e.seq,
+            at: e.at,
+            target,
+        };
+        let pos = self.frontier.partition_point(|g| g.seq < f.seq);
+        self.frontier.insert(pos, f);
+    }
+
+    /// The stable identity of pending slab event `idx`, built only when
+    /// the policy asks for it (replay matching, deviation records).
+    fn key_of(&self, idx: u32) -> EventKey {
+        let slot = &self.slab[idx as usize];
+        match slot.entry.as_ref().expect("frontier event is live").kind {
+            EventKind::Deliver { to, from, .. } => EventKey::Deliver {
+                from,
+                to,
+                nth: self.channels[slot.chan as usize].delivered,
+            },
+            EventKind::Notify { to, crashed } => EventKey::Notify {
+                observer: to,
+                crashed,
+            },
+            EventKind::Crash { node } => EventKey::Crash { node },
+        }
+    }
+
+    /// Removes slab event `idx` (already taken off the frontier); a
+    /// delivery advances its channel and enables its successor.
+    fn take(&mut self, idx: u32) -> Entry<M> {
+        let slot = &mut self.slab[idx as usize];
+        let entry = slot.entry.take().expect("picked event is live");
+        let (chan, next) = (slot.chan, slot.next);
+        self.free.push(idx);
+        if chan != NONE {
+            let ch = &mut self.channels[chan as usize];
+            debug_assert_eq!(ch.head, idx);
+            ch.delivered += 1;
+            ch.head = next;
+            if next == NONE {
+                ch.tail = NONE;
+            } else {
+                self.enable(next);
+            }
+        }
+        entry
     }
 }
 
@@ -264,7 +365,10 @@ impl<P: Process> std::fmt::Debug for Simulation<P> {
         f.debug_struct("Simulation")
             .field("nodes", &self.procs.len())
             .field("time", &self.st.time)
-            .field("queued", &(self.st.queue.len() + self.st.pending_live))
+            .field(
+                "queued",
+                &(self.st.queue.len() + self.st.slab.len() - self.st.free.len()),
+            )
             .field("events_processed", &self.st.events_processed)
             .finish()
     }
@@ -281,8 +385,8 @@ impl<P: Process> Simulation<P> {
     /// Creates a simulation whose event order is chosen by `policy` (see
     /// [`explore`](crate::explore)). With [`SchedulePolicy::Fifo`] this
     /// is exactly [`Simulation::new`]; the other policies trade the
-    /// binary-heap hot path for a linear scan over pending events, which
-    /// is what a model-checking run wants anyway.
+    /// binary-heap hot path for a policy pick over the enabled frontier
+    /// (linear in the number of enabled events per step).
     pub fn with_policy(config: SimConfig, processes: Vec<P>, policy: SchedulePolicy) -> Self {
         let n = processes.len();
         Simulation::build(config, ProcessTable::Eager(processes), n, policy, None)
@@ -375,7 +479,7 @@ impl<P: Process> Simulation<P> {
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
         assert!(node.index() < self.procs.len(), "no such node {node}");
         assert!(at >= self.st.time, "cannot schedule a crash in the past");
-        self.push(at, EventKind::Crash { node });
+        self.push(at, EventKind::Crash { node }, NONE);
     }
 
     /// Runs until quiescence or until the configured event cap.
@@ -404,14 +508,7 @@ impl<P: Process> Simulation<P> {
                     };
                 }
             }
-            let entry = self.pop_next().expect("has_pending checked");
-            self.st.events_processed += 1;
-            debug_assert!(
-                self.explorer.is_some() || entry.at >= self.st.time,
-                "time went backwards"
-            );
-            self.st.time = self.st.time.max(entry.at);
-            self.dispatch(entry.kind);
+            self.step();
         }
         self.st.metrics.set_finished_at(self.st.time);
         RunOutcome::Quiescent {
@@ -421,7 +518,21 @@ impl<P: Process> Simulation<P> {
     }
 
     fn has_pending(&self) -> bool {
-        !self.st.queue.is_empty() || self.st.pending_live > 0
+        !self.st.queue.is_empty() || !self.st.frontier.is_empty()
+    }
+
+    /// Executes the next event; the caller checked [`has_pending`].
+    ///
+    /// [`has_pending`]: Self::has_pending
+    fn step(&mut self) {
+        let entry = self.pop_next().expect("has_pending checked");
+        self.st.events_processed += 1;
+        debug_assert!(
+            self.explorer.is_some() || entry.at >= self.st.time,
+            "time went backwards"
+        );
+        self.st.time = self.st.time.max(entry.at);
+        self.dispatch(entry.kind);
     }
 
     /// Pops the next event: the latency-ordered head under FIFO, or the
@@ -429,69 +540,22 @@ impl<P: Process> Simulation<P> {
     /// event is enabled unless an earlier message on the same FIFO
     /// channel is still pending (delivering it first would violate the
     /// channel contract); crashes and failure-detector notifications
-    /// are always enabled.
+    /// are always enabled. Per-channel FIFO clamping makes a channel's
+    /// head its earliest-timed delivery, so the global `(time, seq)`
+    /// minimum is always enabled and FIFO replay is exact.
     fn pop_next(&mut self) -> Option<Entry<P::Msg>> {
         let Some(explorer) = self.explorer.as_mut() else {
             return self.st.queue.pop();
         };
-        if self.st.pending_live == 0 {
-            return None;
-        }
-        // `pending` is in push (seq) order — tombstone compaction
-        // preserves it — so the first live entry seen per channel is the
-        // channel's earliest (per-channel FIFO clamping also makes it the
-        // earliest-timed, hence the global `(time, seq)` minimum is
-        // always enabled and FIFO replay is exact).
-        self.st.seen_channels.clear();
-        let mut candidates = std::mem::take(&mut self.st.candidates);
-        candidates.clear();
-        for (i, slot) in self.st.pending.iter().enumerate() {
-            let Some(e) = slot else { continue };
-            let (key, target) = match e.kind {
-                EventKind::Deliver { to, from, .. } => {
-                    if !self.st.seen_channels.insert((from, to)) {
-                        continue;
-                    }
-                    let key = EventKey::Deliver {
-                        from,
-                        to,
-                        nth: explorer.channel_count(from, to),
-                    };
-                    (key, to)
-                }
-                EventKind::Notify { to, crashed } => (
-                    EventKey::Notify {
-                        observer: to,
-                        crashed,
-                    },
-                    to,
-                ),
-                EventKind::Crash { node } => (EventKey::Crash { node }, node),
-            };
-            candidates.push(Candidate {
-                pending_idx: i,
-                key,
-                target,
-                at: e.at,
-                seq: e.seq,
-            });
-        }
-        let fifo = candidates
+        let st = &mut self.st;
+        let (fifo, _) = st
+            .frontier
             .iter()
             .enumerate()
-            .min_by_key(|(_, c)| (c.at, c.seq))
-            .map(|(i, _)| i)
-            .expect("pending has live entries");
-        let choice = explorer.choose(&candidates, fifo);
-        let idx = candidates[choice].pending_idx;
-        self.st.candidates = candidates;
-        let entry = self.st.pending[idx].take().expect("candidate slot is live");
-        self.st.pending_live -= 1;
-        if self.st.pending.len() >= 32 && self.st.pending_live * 2 < self.st.pending.len() {
-            // Amortized O(1) per executed event; keeps seq order.
-            self.st.pending.retain(Option::is_some);
-        }
-        Some(entry)
+            .min_by_key(|(_, f)| (f.at, f.seq))?;
+        let choice = explorer.choose(&st.frontier, fifo, |i| st.key_of(st.frontier[i].idx));
+        let picked = st.frontier.remove(choice);
+        Some(st.take(picked.idx))
     }
 
     /// The scheduling deviations the installed exploring policy actually
@@ -638,20 +702,11 @@ impl<P: Process> Simulation<P> {
                         to,
                     });
                     let latency = self.config.latency.sample(&mut self.st.rng);
-                    let row = self.st.fifo_last.entry(me).or_default();
-                    let at = match row.binary_search_by_key(&to, |&(t, _)| t) {
-                        Ok(i) => {
-                            let at = (self.st.time + latency).max(row[i].1);
-                            row[i].1 = at;
-                            at
-                        }
-                        Err(i) => {
-                            let at = self.st.time + latency;
-                            row.insert(i, (to, at));
-                            at
-                        }
-                    };
-                    self.push(at, EventKind::Deliver { to, from: me, msg });
+                    let chan = self.st.channel(me, to);
+                    let ch = &mut self.st.channels[chan as usize];
+                    let at = (self.st.time + latency).max(ch.last_at);
+                    ch.last_at = at;
+                    self.push(at, EventKind::Deliver { to, from: me, msg }, chan);
                 }
                 Command::Monitor { target } => {
                     if self.fd.subscribe(me, target) {
@@ -671,17 +726,18 @@ impl<P: Process> Simulation<P> {
                 to: observer,
                 crashed,
             },
+            NONE,
         );
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<P::Msg>) {
+    /// Schedules an event; `chan` is a delivery's channel, `NONE` for
+    /// crashes and notifications.
+    fn push(&mut self, at: SimTime, kind: EventKind<P::Msg>, chan: u32) {
         let seq = self.st.seq;
         self.st.seq += 1;
         let entry = Entry { at, seq, kind };
         if self.explorer.is_some() {
-            // Push order == seq order: `pending` stays sorted by seq.
-            self.st.pending.push(Some(entry));
-            self.st.pending_live += 1;
+            self.st.enqueue(entry, chan);
         } else {
             self.st.queue.push(entry);
         }
@@ -771,6 +827,8 @@ impl<P: Process> Simulation<P> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[derive(Clone, Debug)]
@@ -1225,15 +1283,13 @@ mod tests {
         assert!(pcr.recorded_schedule().unwrap().is_empty());
     }
 
-    /// Tombstone compaction in the explorer's pending list must keep the
-    /// long-run cost linear *and* the schedule identical: a workload
-    /// large enough to trigger multiple compactions replays bit-for-bit.
+    /// A long explored run (several hundred pending events, slots of the
+    /// event slab reused many times over) replays bit-for-bit.
     #[test]
     fn long_explored_run_compacts_without_changing_the_schedule() {
         use crate::explore::SchedulePolicy;
         let build = || {
-            // 4 senders × 64 messages: several hundred pending entries,
-            // far past the compaction threshold.
+            // 4 senders × 64 messages: several hundred pending entries.
             (0..6usize)
                 .map(|i| {
                     let mut r = Recorder::quiet();
@@ -1333,5 +1389,199 @@ mod tests {
         );
         assert_eq!(sim.process(NodeId(2)).notified.len(), 1);
         assert_eq!(sim.metrics().crash_notifications(), 2);
+    }
+
+    /// The per-step rescan the incremental frontier replaced, kept as
+    /// its oracle: live events in seq order, the first pending delivery
+    /// per channel plus every crash and notification, with delivery
+    /// keys numbered from `delivered` (executed deliveries per channel,
+    /// counted by the caller).
+    impl<M> RunState<M> {
+        fn rescan(&self, delivered: &BTreeMap<(NodeId, NodeId), u32>) -> Vec<(u64, EventKey)> {
+            let mut live: Vec<&Entry<M>> =
+                self.slab.iter().filter_map(|s| s.entry.as_ref()).collect();
+            live.sort_by_key(|e| e.seq);
+            let mut seen = HashSet::new();
+            live.into_iter()
+                .filter_map(|e| {
+                    let key = match e.kind {
+                        EventKind::Deliver { to, from, .. } => {
+                            if !seen.insert((from, to)) {
+                                return None;
+                            }
+                            let nth = delivered.get(&(from, to)).copied().unwrap_or(0);
+                            EventKey::Deliver { from, to, nth }
+                        }
+                        EventKind::Notify { to, crashed } => EventKey::Notify {
+                            observer: to,
+                            crashed,
+                        },
+                        EventKind::Crash { node } => EventKey::Crash { node },
+                    };
+                    Some((e.seq, key))
+                })
+                .collect()
+        }
+
+        fn frontier_keys(&self) -> Vec<(u64, EventKey)> {
+            self.frontier
+                .iter()
+                .map(|f| (f.seq, self.key_of(f.idx)))
+                .collect()
+        }
+    }
+
+    /// Runs `sim` to quiescence one step at a time, checking before
+    /// every step that the frontier lists exactly the rescan's events,
+    /// in the same seq order and under the same keys. Returns the steps
+    /// taken.
+    fn run_against_rescan<P: Process>(sim: &mut Simulation<P>, tag: &str) -> u64 {
+        let mut delivered = BTreeMap::new();
+        let mut steps = 0;
+        sim.start_if_needed();
+        loop {
+            let want = sim.st.rescan(&delivered);
+            assert_eq!(sim.st.frontier_keys(), want, "{tag}, step {steps}");
+            if !sim.has_pending() {
+                return steps;
+            }
+            sim.step();
+            steps += 1;
+            // The executed event is the one enabled event now gone.
+            let live: HashSet<u64> = sim
+                .st
+                .slab
+                .iter()
+                .filter_map(|s| s.entry.as_ref().map(|e| e.seq))
+                .collect();
+            let gone: Vec<EventKey> = want
+                .iter()
+                .filter(|(seq, _)| !live.contains(seq))
+                .map(|&(_, key)| key)
+                .collect();
+            assert_eq!(gone.len(), 1, "{tag}, step {steps}");
+            if let EventKey::Deliver { from, to, .. } = gone[0] {
+                *delivered.entry((from, to)).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// Monitors its neighbours; a crash notification floods them with
+    /// payloads that are forwarded twice more, so runs keep several
+    /// messages in flight per channel while later crashes land.
+    struct Gossip {
+        graph: Arc<Graph>,
+        me: NodeId,
+    }
+
+    impl Process for Gossip {
+        type Msg = Blob;
+        fn on_start(&mut self, ctx: &mut Context<'_, Blob>) {
+            for &n in self.graph.neighbors(self.me) {
+                ctx.monitor(n);
+            }
+        }
+        fn on_message(&mut self, _: NodeId, msg: Blob, ctx: &mut Context<'_, Blob>) {
+            if msg.0[0] > 0 {
+                for &n in self.graph.neighbors(self.me) {
+                    ctx.send(n, Blob(vec![msg.0[0] - 1]));
+                }
+            }
+        }
+        fn on_crash_notification(&mut self, _: NodeId, ctx: &mut Context<'_, Blob>) {
+            for &n in self.graph.neighbors(self.me) {
+                ctx.send(n, Blob(vec![2]));
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_matches_rescan_oracle() {
+        use crate::explore::{race_pairs_of, GuidedSpec, Schedule, SplitMix};
+        let graphs = [
+            Arc::new(precipice_graph::ring(12)),
+            Arc::new(precipice_graph::torus(precipice_graph::GridDims::square(4))),
+        ];
+        let mut rng = SplitMix(0x5eed_0ff0);
+        let mut steps = 0;
+        for run in 0..32 {
+            let graph = &graphs[run % 2];
+            let config = SimConfig {
+                latency: LatencyModel::Uniform {
+                    min: SimTime::from_micros(200),
+                    max: SimTime::from_millis(3),
+                },
+                fd_latency: LatencyModel::Uniform {
+                    min: SimTime::from_millis(1),
+                    max: SimTime::from_millis(5),
+                },
+                ..jittery_config(rng.next())
+            };
+            // One to three crashes; the later ones land while the
+            // earlier ones' gossip is in flight.
+            let crashes: Vec<(NodeId, SimTime)> = (0..1 + rng.below(3))
+                .map(|_| {
+                    let node = NodeId::from_index(rng.below(graph.len()));
+                    (node, SimTime::from_micros(500 + rng.below(8000) as u64))
+                })
+                .collect();
+            let sim = |policy: SchedulePolicy| {
+                let g = Arc::clone(graph);
+                let mut sim = Simulation::lazy_with_policy(
+                    config,
+                    graph,
+                    move |me| Gossip {
+                        graph: Arc::clone(&g),
+                        me,
+                    },
+                    policy,
+                );
+                for &(node, at) in &crashes {
+                    sim.schedule_crash(node, at);
+                }
+                sim
+            };
+            let mut random = sim(SchedulePolicy::Random(rng.next()));
+            random.run();
+            let recorded = random.recorded_schedule().unwrap();
+            let policy = match run % 4 {
+                0 => SchedulePolicy::Random(rng.next()),
+                1 => SchedulePolicy::Pcr(rng.next()),
+                // A shrunk replay: every third deviation dropped, so
+                // some later ones go stale.
+                2 => SchedulePolicy::Replay(Schedule::new(
+                    recorded
+                        .deviations
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % 3 != 2)
+                        .map(|(_, &d)| d)
+                        .collect(),
+                )),
+                _ => {
+                    let pairs = race_pairs_of(random.trace().entries().unwrap());
+                    let flip =
+                        pairs.iter().next().map(
+                            |(&(lo, hi), &bits)| if bits & 1 != 0 { (lo, hi) } else { (hi, lo) },
+                        );
+                    SchedulePolicy::Guided(GuidedSpec {
+                        base: recorded,
+                        seed: rng.next(),
+                        flip,
+                    })
+                }
+            };
+            let tag = format!("run {run}, {}", policy.tag());
+            let mut checked = sim(policy.clone());
+            steps += run_against_rescan(&mut checked, &tag);
+            // Stepping changed nothing: the same run through `run`.
+            let mut plain = sim(policy);
+            plain.run();
+            assert_eq!(checked.trace().hash(), plain.trace().hash(), "{tag}");
+        }
+        assert!(
+            steps > 3000,
+            "runs too short to exercise the frontier: {steps}"
+        );
     }
 }

@@ -66,21 +66,6 @@ impl Trace {
         }
     }
 
-    /// Rearms the trace for a fresh run, keeping the entry buffer's
-    /// allocation when storage stays enabled (batch-engine slot reuse).
-    pub(crate) fn reset(&mut self, record_entries: bool) {
-        if record_entries {
-            match &mut self.entries {
-                Some(es) => es.clear(),
-                None => self.entries = Some(Vec::new()),
-            }
-        } else {
-            self.entries = None;
-        }
-        self.hash = FNV_OFFSET;
-        self.len = 0;
-    }
-
     pub(crate) fn record(&mut self, entry: TraceEntry) {
         self.mix(&entry);
         self.len += 1;

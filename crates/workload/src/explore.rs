@@ -245,7 +245,7 @@ pub struct ExploreConfig {
     /// Probes per serial merge chunk — the early-stop granularity and
     /// the guided feedback latency. The default [`FEED_CHUNK`]
     /// preserves the historical stop boundaries; guided runs may
-    /// prefer a much smaller chunk (even below one wave) so the
+    /// prefer a much smaller chunk (even below one work unit) so the
     /// corpus reacts faster at the cost of narrower parallelism.
     pub chunk: usize,
 }
@@ -270,10 +270,11 @@ impl Default for ExploreConfig {
 /// stopping granularity).
 pub const FEED_CHUNK: usize = 128;
 
-/// Probes per lockstep batch wave. Must divide [`FEED_CHUNK`] so the
-/// feed's early-stopping boundaries stay on the exact probe counts the
-/// per-probe scalar feed historically stopped at.
-const WAVE: usize = 16;
+/// Probes per parallel work unit (one worker runs a unit's probes in
+/// order through its [`BatchRunner`]). Must divide [`FEED_CHUNK`] so
+/// the feed's early-stopping boundaries stay on the exact probe counts
+/// the per-probe feed historically stopped at.
+const UNIT: usize = 16;
 
 /// Compact per-probe observation (full reports never cross the worker
 /// boundary; a violating probe additionally ships its schedule for the
@@ -364,10 +365,9 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
     // the raw budget, so `--budget 4000000000 --stop-after 1` is fine.
     // Each chunk's policies are fixed serially up front (guided
     // mutation reads the corpus/coverage state as of the chunk
-    // boundary), the chunk's waves run in parallel through per-worker
-    // [`BatchRunner`]s (slot arenas reused across every wave the
-    // worker claims; per-probe results bit-identical to scalar
-    // [`rt::probe`] runs by the engine-equivalence contract), and the
+    // boundary), the chunk's work units run in parallel through
+    // per-worker [`BatchRunner`]s (each probe's result is exactly the
+    // [`rt::probe`] run of its policy), and the
     // results merge back serially in probe order — carrying a running
     // violating-probe count (O(1) per probe; the historical feed
     // re-scanned the whole prefix at every chunk boundary) and the
@@ -375,7 +375,7 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
     // land on the same probe counts as the historical per-probe feed,
     // so blind digests — and any early-stopped prefix — are
     // byte-identical to it, for any worker count.
-    const _: () = assert!(FEED_CHUNK.is_multiple_of(WAVE));
+    const _: () = assert!(FEED_CHUNK.is_multiple_of(UNIT));
     let budget = usize::try_from(cfg.budget.max(1)).unwrap_or(usize::MAX);
     let chunk = cfg.chunk.max(1);
     let spec = SweepSpec::new(jobs);
@@ -394,17 +394,17 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
                 policy: guided_policy(scenario, cfg, index as u64, &corpus, &coverage),
             })
             .collect();
-        let waves: Vec<usize> = (0..batch.len()).step_by(WAVE).collect();
-        let wave_results = spec.map_with(
-            &waves,
-            || BatchRunner::with_default_policy(scenario, WAVE),
-            |runner, _w, &lo| {
-                let hi = lo.saturating_add(WAVE).min(batch.len());
-                let wave_jobs = &batch[lo..hi];
+        let units: Vec<usize> = (0..batch.len()).step_by(UNIT).collect();
+        let unit_results = spec.map_with(
+            &units,
+            || BatchRunner::with_default_policy(scenario, UNIT),
+            |runner, _u, &lo| {
+                let hi = lo.saturating_add(UNIT).min(batch.len());
+                let unit_jobs = &batch[lo..hi];
                 runner
-                    .run(wave_jobs)
+                    .run(unit_jobs)
                     .into_iter()
-                    .zip(wave_jobs)
+                    .zip(unit_jobs)
                     .enumerate()
                     .map(|(k, (out, job))| {
                         let (violations, cov) = probe_coverage(&out);
@@ -422,7 +422,7 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
                     .collect::<Vec<_>>()
             },
         );
-        for (mut digest, cov, schedule) in wave_results.into_iter().flatten() {
+        for (mut digest, cov, schedule) in unit_results.into_iter().flatten() {
             if digest.violations > 0 {
                 digest.schedule = Some(schedule.clone());
                 violating += 1;
@@ -779,11 +779,10 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
-    /// The reroute through the lockstep batch runner must not change a
-    /// single digest field relative to per-probe scalar runs — the
-    /// byte-identity half of the engine-equivalence contract, checked
-    /// at the explorer's own observation granularity. 21 probes: a full
-    /// wave, a ragged tail, and the FIFO baseline.
+    /// The feed through per-worker batch runners must not change a
+    /// single digest field relative to per-probe runs, checked at the
+    /// explorer's own observation granularity. 21 probes: a full work
+    /// unit, a ragged tail, and the FIFO baseline.
     #[test]
     fn batched_feed_matches_per_probe_scalar_runs() {
         let s = scenario(false);

@@ -12,8 +12,7 @@
 //!   tracks the processed prefix, never the raw budget);
 //! - the `*_with` variants ([`SweepSpec::map_with`],
 //!   [`SweepSpec::feed_with`]) give each worker reusable private state
-//!   (e.g. a `BatchRunner` whose slot arenas persist across the jobs
-//!   that worker claims).
+//!   (e.g. a `BatchRunner` built once per worker, not once per job).
 //!
 //! # Determinism contract
 //!
@@ -186,8 +185,8 @@ impl SweepSpec {
 
     /// [`map`](Self::map) with per-worker state: each worker calls
     /// `init()` once and threads the value through every job it claims
-    /// — the hook that lets a batch runner reuse its slot arenas across
-    /// a whole sweep. State may cache allocations, never results (see
+    /// — the hook that lets a batch runner be built once per worker
+    /// for a whole sweep. State may cache allocations, never results (see
     /// the module docs).
     pub fn map_with<I, W, T, G, F>(&self, inputs: &[I], init: G, job: F) -> Vec<T>
     where

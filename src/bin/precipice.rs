@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use precipice::consensus::ProtocolConfig;
-use precipice::graph::{to_dot, Graph, GridDims, NodeId, Region};
+use precipice::graph::{parse_topology, to_dot, Graph, NodeId, Region};
 use precipice::runtime::explore::{probe, render_violations, Artifact};
 use precipice::runtime::{check_spec, Exec, MulticastMode, RunDigest, RunReport, Scenario};
 use precipice::sim::{LatencyModel, SchedulePolicy, SimConfig, SimTime};
@@ -193,50 +193,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, String
     Ok(opts)
 }
 
-fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
-    // `pcsr:<path>` maps an on-disk topology zero-copy; match it before
-    // the colon split, since paths may contain colons.
-    if let Some(file) = spec.strip_prefix("pcsr:") {
-        return Graph::open_pcsr(file).map_err(|e| format!("cannot open {file:?}: {e}"));
-    }
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| {
-        s.parse::<usize>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    };
-    let fnum = |s: &str| {
-        s.parse::<f64>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    };
-    match parts.as_slice() {
-        ["torus", side] => Ok(precipice::graph::torus(GridDims::square(num(side)?))),
-        ["grid", dims] => {
-            let (w, h) = dims
-                .split_once('x')
-                .ok_or_else(|| format!("grid wants <w>x<h>, got {dims:?}"))?;
-            Ok(precipice::graph::grid(GridDims {
-                width: num(w)?,
-                height: num(h)?,
-            }))
-        }
-        ["ring", n] => Ok(precipice::graph::ring(num(n)?)),
-        ["path", n] => Ok(precipice::graph::path(num(n)?)),
-        ["star", n] => Ok(precipice::graph::star(num(n)?)),
-        ["geometric", n, r] => Ok(precipice::graph::random_geometric_connected(
-            num(n)?,
-            fnum(r)?,
-            seed,
-        )),
-        ["er", n, p] => Ok(precipice::graph::erdos_renyi_connected(
-            num(n)?,
-            fnum(p)?,
-            seed,
-        )),
-        ["tree", n] => Ok(precipice::graph::random_tree(num(n)?, seed)),
-        _ => Err(format!("unknown topology spec {spec:?}")),
-    }
-}
-
 fn parse_region(spec: &str, graph: &Graph, at: Option<u32>) -> Result<Region, String> {
     let center = at.map(NodeId).unwrap_or(NodeId((graph.len() / 2) as u32));
     if !graph.contains(center) {
@@ -247,9 +203,13 @@ fn parse_region(spec: &str, graph: &Graph, at: Option<u32>) -> Result<Region, St
         s.parse::<usize>()
             .map_err(|e| format!("bad number {s:?}: {e}"))
     };
+    let size = |s: &str| match num(s)? {
+        0 => Err(format!("region {spec:?} needs at least 1 node")),
+        k => Ok(k),
+    };
     match parts.as_slice() {
-        ["blob", k] => Ok(blob_of_size(graph, center, num(k)?)),
-        ["line", k] => Ok(line_region(graph, center, num(k)?)),
+        ["blob", k] => Ok(blob_of_size(graph, center, size(k)?)),
+        ["line", k] => Ok(line_region(graph, center, size(k)?)),
         ["ball", r] => Ok(bfs_ball(graph, center, num(r)?)),
         ["nodes", list] => {
             let ids: Result<Vec<u32>, _> = list.split(',').map(str::parse).collect();
@@ -925,28 +885,12 @@ fn run_check_live(opts: &CheckOptions) -> Result<bool, String> {
 
 /// Runs the `serve` subcommand: a long-lived process speaking
 /// line-delimited JSON on stdin/stdout (see
-/// [`precipice::net::ServeSession`] for the protocol). Blank lines and
-/// `#` comments are skipped, so scripted command files pipe straight
-/// in. Exits cleanly on `shutdown` or stdin EOF.
+/// [`precipice::net::ServeSession`] for the protocol). Exits cleanly on
+/// `shutdown` or stdin EOF.
 fn run_serve(shards: usize) -> Result<bool, String> {
-    use std::io::{BufRead, Write};
-    let mut session = precipice::net::ServeSession::new(shards);
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("reading stdin: {e}"))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let response = session.handle_line(trimmed);
-        writeln!(out, "{response}").map_err(|e| format!("writing stdout: {e}"))?;
-        out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
-        if session.finished() {
-            break;
-        }
-    }
+    precipice::net::ServeSession::new(shards)
+        .serve(std::io::stdin().lock(), std::io::stdout().lock())
+        .map_err(|e| format!("serve I/O: {e}"))?;
     Ok(true)
 }
 
@@ -1110,27 +1054,13 @@ fn stream_spec(
     out: &str,
     seed: u64,
 ) -> Result<(precipice::graph::StoreSummary, &'static str), String> {
-    use precipice::graph::{stream_grid, stream_path, stream_ring, stream_torus};
-    let num = |s: &str| {
-        s.parse::<usize>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    };
-    let streamed = match spec.split(':').collect::<Vec<_>>().as_slice() {
-        ["torus", side] => Some(stream_torus(GridDims::square(num(side)?), out)),
-        ["grid", dims] => {
-            let (w, h) = dims
-                .split_once('x')
-                .ok_or_else(|| format!("grid wants <w>x<h>, got {dims:?}"))?;
-            Some(stream_grid(
-                GridDims {
-                    width: num(w)?,
-                    height: num(h)?,
-                },
-                out,
-            ))
-        }
-        ["ring", n] => Some(stream_ring(num(n)?, out)),
-        ["path", n] => Some(stream_path(num(n)?, out)),
+    use precipice::graph::{stream_grid, stream_path, stream_ring, stream_torus, TopologySpec};
+    let parsed = TopologySpec::parse(spec)?;
+    let streamed = match parsed {
+        TopologySpec::Torus(dims) => Some(stream_torus(dims, out)),
+        TopologySpec::Grid(dims) => Some(stream_grid(dims, out)),
+        TopologySpec::Ring(n) => Some(stream_ring(n, out)),
+        TopologySpec::Path(n) => Some(stream_path(n, out)),
         _ => None,
     };
     match streamed {
@@ -1138,7 +1068,7 @@ fn stream_spec(
             .map(|s| (s, "streamed"))
             .map_err(|e| format!("cannot write {out:?}: {e}")),
         None => {
-            let g = parse_topology(spec, seed)?;
+            let g = parsed.build(seed)?;
             g.write_pcsr(out)
                 .map(|s| (s, "materialized"))
                 .map_err(|e| format!("cannot write {out:?}: {e}"))

@@ -179,3 +179,67 @@ fn bad_flags_exit_nonzero() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown topology"));
 }
+
+/// Specs that once reached a graph generator's assertion (exit 101) are
+/// usage errors now: exit 2 with a message.
+#[test]
+fn degenerate_topology_and_region_specs_exit_2() {
+    let mut cases: Vec<[&str; 2]> = [
+        "torus:0",
+        "torus:2",
+        "ring:0",
+        "ring:1",
+        "ring:2",
+        "grid:0x3",
+        "path:0",
+        "star:0",
+        "tree:0",
+        "geometric:0:0.5",
+        "geometric:10:0",
+        "er:10:0",
+        "er:10:2",
+        "er:0:0.5",
+    ]
+    .map(|topology| [topology, "blob:1"])
+    .to_vec();
+    cases.push(["torus:6", "blob:0"]);
+    for [topology, region] in cases {
+        let out = precipice(&["--topology", topology, "--region", region]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{topology} {region}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{topology} {region}: no message");
+        assert!(
+            !stderr.contains("panicked"),
+            "{topology} {region}: {stderr}"
+        );
+    }
+}
+
+/// A non-UTF-8 line and a 2 MiB line each get an error reply, and the
+/// server keeps going: three replies, then a clean exit at EOF.
+#[test]
+fn serve_survives_malformed_lines() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_precipice"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn precipice serve");
+    let mut input = b"\xff\n".to_vec();
+    input.extend(std::iter::repeat_n(b'x', 2 << 20));
+    input.extend_from_slice(b"\n{\"cmd\":\"status\"}\n");
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || stdin.write_all(&input));
+    let out = child.wait_with_output().expect("serve runs");
+    writer.join().unwrap().expect("serve read all of stdin");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 replies");
+    let replies: Vec<&str> = stdout.lines().collect();
+    assert_eq!(replies.len(), 3, "{stdout}");
+    assert!(replies[0].contains(r#""ok":false"#) && replies[0].contains("UTF-8"));
+    assert!(replies[1].contains(r#""ok":false"#) && replies[1].contains("longer than"));
+    assert!(replies[2].contains("no open instance"), "{}", replies[2]);
+}
